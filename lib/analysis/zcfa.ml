@@ -9,22 +9,10 @@
     guarantee up with a hard stop that degrades to {e no facts} rather
     than wrong facts.
 
-    Following oaam, the solver is a staged progression — each stage is
-    individually selectable ([liblang analyze --stage=...]) and
-    benchmarkable:
-
-    - {b wide}: the widened-store baseline — one global store, but the
-      syntax is re-walked and bindings re-resolved on every sweep;
-    - {b compiled}: the transfer functions are pre-compiled once into a
-      closure-form node graph, then sweeps run over the graph;
-    - {b lazy}: compiled, plus lazy nondeterminism — a top form whose
-      read set did not change since its last evaluation is skipped;
-    - {b delta}: compiled, plus delta-store frontier propagation — a
-      worklist seeded from store deltas via dynamically recorded
-      dependencies, rather than whole-module sweeps.
-
-    All stages compute the same fixpoint over the same lattice; the staged
-    tests assert fact-for-fact agreement. *)
+    The solver walks the module's syntax once, compiling the transfer
+    functions into a node graph, then sweeps the whole graph round-robin
+    over one global store until a sweep changes nothing.  The Figs. 6-9
+    fact tables it reaches are pinned by test/analysis_facts.expected. *)
 
 module Stx = Liblang_stx.Stx
 module Binding = Liblang_stx.Binding
@@ -38,23 +26,6 @@ module IntSet = Set.Make (Int)
     [Liblang_typed.Optimize] skips the analysis and the flow-driven
     rewrites never fire. *)
 let enabled = ref true
-
-type stage = Wide | Compiled | Lazy | Delta
-
-let default_stage = ref Delta
-
-let stage_name = function
-  | Wide -> "wide"
-  | Compiled -> "compiled"
-  | Lazy -> "lazy"
-  | Delta -> "delta"
-
-let stage_of_string = function
-  | "wide" -> Some Wide
-  | "compiled" -> Some Compiled
-  | "lazy" -> Some Lazy
-  | "delta" -> Some Delta
-  | _ -> None
 
 (* Fuel: the lattice is finite so sweeps converge, but adversarial corpus
    inputs get a hard stop anyway.  Exhaustion yields an *empty* fact table
@@ -195,7 +166,7 @@ type st = {
   assigned : (int, unit) Hashtbl.t;
   refs_total : (int, int) Hashtbl.t;
   refs_op : (int, int) Hashtbl.t;
-  lam_tbl : lam Facts.NodeTbl.t;  (** lambda stx -> record (stable across wide rebuilds) *)
+  lam_tbl : lam Facts.NodeTbl.t;  (** lambda stx -> record *)
   lams : (int, lam) Hashtbl.t;
   site_tbl : vsite Facts.NodeTbl.t;
   sites : (int, vsite) Hashtbl.t;
@@ -203,20 +174,10 @@ type st = {
   mutable next_site : int;
   mutable let_lams : (int * int) list;  (** (binding uid, lambda idx) of single-id let clauses *)
   mutable escape_all : bool;  (** an unparseable #%provide spec: everything escapes *)
-  mutable counted : bool;  (** ref counts recorded (first build only) *)
   mutable changed : bool;
   mutable sweeps : int;
   mutable transfers : int;
   mutable call_sites : int;
-  (* lazy / delta bookkeeping *)
-  mutable gen : int;
-  uid_gen : (int, int) Hashtbl.t;
-  mutable aux_gen : int;
-  mutable cur_form : int;  (** -1 outside delta-stage evaluation *)
-  uid_deps : (int, IntSet.t) Hashtbl.t;
-  lam_deps : (int, IntSet.t) Hashtbl.t;
-  site_deps : (int, IntSet.t) Hashtbl.t;
-  mutable dirty : IntSet.t;  (** delta worklist (form indices), drained in order *)
 }
 
 let init_state () =
@@ -234,61 +195,20 @@ let init_state () =
     next_site = 0;
     let_lams = [];
     escape_all = false;
-    counted = false;
     changed = false;
     sweeps = 0;
     transfers = 0;
     call_sites = 0;
-    gen = 0;
-    uid_gen = Hashtbl.create 64;
-    aux_gen = 0;
-    cur_form = -1;
-    uid_deps = Hashtbl.create 64;
-    lam_deps = Hashtbl.create 32;
-    site_deps = Hashtbl.create 16;
-    dirty = IntSet.empty;
   }
 
-let bump st = st.gen <- st.gen + 1
-
-let add_dep tbl key st =
-  if st.cur_form >= 0 then
-    let old = Option.value (Hashtbl.find_opt tbl key) ~default:IntSet.empty in
-    if not (IntSet.mem st.cur_form old) then Hashtbl.replace tbl key (IntSet.add st.cur_form old)
-
-let wake st tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some forms -> st.dirty <- IntSet.union st.dirty forms
-  | None -> ()
-
-let touch_uid st uid =
-  st.changed <- true;
-  bump st;
-  Hashtbl.replace st.uid_gen uid st.gen;
-  wake st st.uid_deps uid
-
-let touch_lam st ix =
-  st.changed <- true;
-  bump st;
-  st.aux_gen <- st.gen;
-  wake st st.lam_deps ix
-
-let touch_site st ix =
-  st.changed <- true;
-  bump st;
-  st.aux_gen <- st.gen;
-  wake st st.site_deps ix
-
-let store_get st uid =
-  add_dep st.uid_deps uid st;
-  Option.value (Hashtbl.find_opt st.store uid) ~default:av_bot
+let store_get st uid = Option.value (Hashtbl.find_opt st.store uid) ~default:av_bot
 
 let store_join st uid v =
-  let old = Option.value (Hashtbl.find_opt st.store uid) ~default:av_bot in
+  let old = store_get st uid in
   let nv = join old v in
   if not (aval_equal nv old) then begin
     Hashtbl.replace st.store uid nv;
-    touch_uid st uid
+    st.changed <- true
   end
 
 (* Escaping: the value reaches code the analysis cannot see.  Closures get
@@ -301,7 +221,7 @@ let rec escape_value st (v : aval) =
       let l = Hashtbl.find st.lams ix in
       if not l.l_escapes then begin
         l.l_escapes <- true;
-        touch_lam st ix;
+        st.changed <- true;
         List.iter (fun p -> store_join st p av_top) l.l_params;
         escape_value st l.l_ret
       end)
@@ -313,7 +233,7 @@ let rec escape_value st (v : aval) =
         s.v_escaped <- true;
         let old = s.v_elem in
         s.v_elem <- join old av_top;
-        touch_site st ix;
+        st.changed <- true;
         escape_value st old
       end)
     v.vecs
@@ -323,7 +243,7 @@ let lam_ret_join st ix v =
   let nv = join l.l_ret v in
   if not (aval_equal nv l.l_ret) then begin
     l.l_ret <- nv;
-    touch_lam st ix;
+    st.changed <- true;
     if l.l_escapes then escape_value st nv
   end
 
@@ -332,7 +252,7 @@ let elem_join st ix v =
   let nv = join s.v_elem v in
   if not (aval_equal nv s.v_elem) then begin
     s.v_elem <- nv;
-    touch_site st ix;
+    st.changed <- true;
     if s.v_escaped then escape_value st nv
   end
 
@@ -347,7 +267,7 @@ let len_merge st ix (cand : len_state) =
   in
   if merged <> s.v_len then begin
     s.v_len <- merged;
-    touch_site st ix
+    st.changed <- true
   end
 
 (* -- prims with transfer functions ----------------------------------------- *)
@@ -384,20 +304,25 @@ let vector_prims =
   ]
 
 (* uid -> prim name, resolved once against the base language's binding
-   context (uids are exact: a shadowing local binder has a different uid) *)
+   context (uids are exact: a shadowing local binder has a different uid).
+   Worker domains analyze concurrently, so the table is filled under a lock
+   and published only once full. *)
 let prim_uids : (int, string) Hashtbl.t = Hashtbl.create 128
-let prim_uids_ready = ref false
+let prim_uids_ready = Atomic.make false
+let prim_uids_lock = Mutex.create ()
 
 let prim_uid_table () =
-  if not !prim_uids_ready then begin
-    List.iter
-      (fun name ->
-        match Binding.resolve (Baselang.bid name) with
-        | Some b -> Hashtbl.replace prim_uids b.Binding.uid name
-        | None -> ())
-      (pure_prims @ arith_prims @ vector_prims @ [ "values" ]);
-    prim_uids_ready := true
-  end;
+  if not (Atomic.get prim_uids_ready) then
+    Mutex.protect prim_uids_lock (fun () ->
+        if not (Atomic.get prim_uids_ready) then begin
+          List.iter
+            (fun name ->
+              match Binding.resolve (Baselang.bid name) with
+              | Some b -> Hashtbl.replace prim_uids b.Binding.uid name
+              | None -> ())
+            (pure_prims @ arith_prims @ vector_prims @ [ "values" ]);
+          Atomic.set prim_uids_ready true
+        end);
   prim_uids
 
 let core_kind (hd : Stx.t) : string option =
@@ -471,11 +396,9 @@ let classify st (id : Stx.t) : kind =
   | None -> KExt
 
 let note_ref st op_pos uid =
-  if not st.counted then begin
-    let inc tbl = Hashtbl.replace tbl uid (1 + Option.value (Hashtbl.find_opt tbl uid) ~default:0) in
-    inc st.refs_total;
-    if op_pos then inc st.refs_op
-  end
+  let inc tbl = Hashtbl.replace tbl uid (1 + Option.value (Hashtbl.find_opt tbl uid) ~default:0) in
+  inc st.refs_total;
+  if op_pos then inc st.refs_op
 
 let lam_record st (s : Stx.t) formals body_nodes =
   match Facts.NodeTbl.find_opt st.lam_tbl s with
@@ -541,7 +464,7 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
           let target =
             match classify st x with
             | KVar uid ->
-                if not st.counted then Hashtbl.replace st.assigned uid ();
+                Hashtbl.replace st.assigned uid ();
                 Some uid
             | _ -> None
           in
@@ -575,7 +498,7 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
                             let l = Hashtbl.find st.lams ix in
                             if l.l_name = "lambda" then
                               l.l_name <- Option.value (Stx.sym (List.hd (Option.get (Stx.to_list ids)))) ~default:"lambda";
-                            if not st.counted then st.let_lams <- (uid, ix) :: st.let_lams
+                            st.let_lams <- (uid, ix) :: st.let_lams
                         | _ -> ());
                         Some (uids, rn)
                     | _ -> None)
@@ -632,7 +555,7 @@ let rec build st ?(op_pos = false) (s : Stx.t) : node =
               mk (KAlloc (v.v_idx, rns))
           | KPrim _ -> mk (KApp (opn, rns))
           | _ ->
-              if not st.counted then st.call_sites <- st.call_sites + 1;
+              st.call_sites <- st.call_sites + 1;
               mk (KApp (opn, rns)))
       | Some _, _ -> mk KSkip
       | None, _ -> mk (KOpaque (List.map (build st) (hd :: args))))
@@ -650,7 +573,6 @@ let rec eval st (n : node) : aval =
   | KPrim _ -> av_other
   | KExt -> av_top
   | KLam ix ->
-      add_dep st.lam_deps ix st;
       let l = Hashtbl.find st.lams ix in
       let rv = eval_body st l.l_body in
       lam_ret_join st ix rv;
@@ -685,7 +607,6 @@ let rec eval st (n : node) : aval =
         clauses;
       eval_body st body
   | KAlloc (ix, args) ->
-      add_dep st.site_deps ix st;
       let vs = List.map (eval st) args in
       let site = Hashtbl.find st.sites ix in
       (if site.v_make then begin
@@ -746,7 +667,6 @@ and apply st (fv : aval) (arg_vs : aval list) : aval =
   let result = ref av_bot in
   IntSet.iter
     (fun ix ->
-      add_dep st.lam_deps ix st;
       let l = Hashtbl.find st.lams ix in
       let compatible =
         if l.l_rest then nargs >= l.l_arity else nargs = l.l_arity
@@ -800,11 +720,7 @@ and prim_transfer st name (args : node list) (vs : aval list) : aval =
   | ("vector-ref" | "unsafe-vector-ref" | "unchecked-vector-ref"), v :: _ ->
       if v.top || v.other then av_top
       else
-        IntSet.fold
-          (fun ix acc ->
-            add_dep st.site_deps ix st;
-            join acc (Hashtbl.find st.sites ix).v_elem)
-          v.vecs av_bot
+        IntSet.fold (fun ix acc -> join acc (Hashtbl.find st.sites ix).v_elem) v.vecs av_bot
   | ("vector-set!" | "unsafe-vector-set!" | "unchecked-vector-set!"), [ v; _; x ] ->
       if v.top || v.other then escape_value st x
       else IntSet.iter (fun ix -> elem_join st ix x) v.vecs;
@@ -818,31 +734,7 @@ and prim_transfer st name (args : node list) (vs : aval list) : aval =
          arguments; may return an integer we no longer track exactly *)
       { av_bot with ints = ITop; other = true }
 
-(* -- stage drivers --------------------------------------------------------- *)
-
-(* read set including lambda bodies (they are evaluated with the form) *)
-let full_readset st (form : node) : IntSet.t =
-  let acc = ref IntSet.empty in
-  let rec go n =
-    match n.n_kind with
-    | KConst _ | KPrim _ | KExt | KSkip | KProvide _ -> ()
-    | KVar uid -> acc := IntSet.add uid !acc
-    | KLam ix ->
-        let l = Hashtbl.find st.lams ix in
-        List.iter go l.l_body;
-        List.iter (fun p -> acc := IntSet.add p !acc) l.l_params
-    | KIf (a, b, c, _) -> go a; go b; go c
-    | KBegin ns | KOpaque ns -> List.iter go ns
-    | KSet (_, n) -> go n
-    | KApp (f, ns) -> go f; List.iter go ns
-    | KAlloc (_, ns) -> List.iter go ns
-    | KLet (cls, body) ->
-        List.iter (fun (_, rhs) -> go rhs) cls;
-        List.iter go body
-    | KDefine (_, n) -> go n
-  in
-  go form;
-  !acc
+(* -- the solver -------------------------------------------------------------- *)
 
 let eval_form st n =
   ignore (eval st n);
@@ -853,20 +745,6 @@ let eval_form st n =
     List.iter (fun uid -> if Hashtbl.mem st.bound uid then escape_value st (store_get st uid)) uids
   end
 
-let run_wide st (forms : Stx.t list) =
-  let rec loop graph =
-    st.changed <- false;
-    List.iter (eval_form st) graph;
-    st.sweeps <- st.sweeps + 1;
-    if st.changed then
-      if st.sweeps >= max_sweeps then raise Out_of_fuel
-      else loop (List.map (build st) forms)  (* re-walk syntax: the wide baseline *)
-    else graph
-  in
-  let g0 = List.map (build st) forms in
-  st.counted <- true;
-  loop g0
-
 let run_sweeps st (graph : node list) =
   let rec loop () =
     st.changed <- false;
@@ -875,52 +753,6 @@ let run_sweeps st (graph : node list) =
     if st.changed then if st.sweeps >= max_sweeps then raise Out_of_fuel else loop ()
   in
   loop ()
-
-let run_lazy st (graph : node list) =
-  let forms = Array.of_list graph in
-  let readsets = Array.map (full_readset st) forms in
-  let last_eval = Array.make (Array.length forms) (-1) in
-  let last_aux = Array.make (Array.length forms) (-1) in
-  let uid_gen uid = Option.value (Hashtbl.find_opt st.uid_gen uid) ~default:0 in
-  let rec loop () =
-    st.changed <- false;
-    Array.iteri
-      (fun i n ->
-        let stale =
-          last_eval.(i) < 0 || last_aux.(i) <> st.aux_gen
-          || IntSet.exists (fun u -> uid_gen u > last_eval.(i)) readsets.(i)
-        in
-        if stale then begin
-          let g0 = st.gen in
-          eval_form st n;
-          last_eval.(i) <- g0;
-          last_aux.(i) <- st.aux_gen
-        end
-        else Metrics.count "analysis.lazy_skips")
-      forms;
-    st.sweeps <- st.sweeps + 1;
-    if st.changed then if st.sweeps >= max_sweeps then raise Out_of_fuel else loop ()
-  in
-  loop ()
-
-let run_delta st (graph : node list) =
-  let forms = Array.of_list graph in
-  let n = Array.length forms in
-  let budget = max_sweeps * max 1 n in
-  Array.iteri (fun i _ -> st.dirty <- IntSet.add i st.dirty) forms;
-  let pops = ref 0 in
-  while not (IntSet.is_empty st.dirty) do
-    let i = IntSet.min_elt st.dirty in
-    st.dirty <- IntSet.remove i st.dirty;
-    incr pops;
-    if !pops > budget then raise Out_of_fuel;
-    st.cur_form <- i;
-    (* re-entrancy: changes made while evaluating form i re-enqueue their
-       dependents, including i itself, via the touch_* hooks *)
-    eval_form st forms.(i);
-    st.cur_form <- -1;
-    st.sweeps <- !pops
-  done
 
 (* -- fact extraction ------------------------------------------------------- *)
 
@@ -1043,28 +875,15 @@ let extract st (graph : node list) (facts : Facts.t) =
 
 (* -- entry point ----------------------------------------------------------- *)
 
-let analyze_module ?stage (forms : Stx.t list) : Facts.t =
-  let stage = Option.value stage ~default:!default_stage in
+let analyze_module (forms : Stx.t list) : Facts.t =
   Trace.span "analyze" @@ fun () ->
   Metrics.time "phase.analyze" @@ fun () ->
   let st = init_state () in
   let facts = Facts.create () in
-  facts.Facts.stage <- stage_name stage;
   List.iter (collect_binders st) forms;
   (try
-     let graph =
-       match stage with
-       | Wide -> run_wide st forms
-       | Compiled | Lazy | Delta ->
-           let g = List.map (build st) forms in
-           st.counted <- true;
-           (match stage with
-           | Compiled -> run_sweeps st g
-           | Lazy -> run_lazy st g
-           | Delta -> run_delta st g
-           | Wide -> assert false);
-           g
-     in
+     let graph = List.map (build st) forms in
+     run_sweeps st graph;
      extract st graph facts
    with Out_of_fuel ->
      (* degrade to "nothing proved": wipe any partial tables *)

@@ -362,11 +362,10 @@ let expand ?fuel ?name ?(observe = Observe.nothing) (source : string) :
 
 (** Expand a module to core forms and run the 0CFA flow analysis
     ({!Core.Zcfa}) over them, returning the rendered fact report — a
-    summary line plus one line per proved fact.  [?stage] selects the
-    solver stage ("wide" | "compiled" | "lazy" | "delta", default
-    delta); the analysis itself emits [analysis.*] metrics and a
-    [phase.analyze] timer into [?observe]. *)
-let analyze ?fuel ?name ?stage ?(observe = Observe.nothing) (source : string) :
+    summary line plus one line per proved fact.  The analysis itself
+    emits [analysis.*] metrics and a [phase.analyze] timer into
+    [?observe]. *)
+let analyze ?fuel ?name ?(observe = Observe.nothing) (source : string) :
     (string list, Diagnostic.t list) result =
   Core.init ();
   let name = match name with Some n -> n | None -> Core.fresh_module_name "program" in
@@ -378,7 +377,7 @@ let analyze ?fuel ?name ?stage ?(observe = Observe.nothing) (source : string) :
           | None -> ignore (read_module_body ~name source); assert false
           | Some _ ->
               let forms = Modsys.expand_source ~name source in
-              let facts = Core.Zcfa.analyze_module ?stage forms in
+              let facts = Core.Zcfa.analyze_module forms in
               Core.Facts.render facts))
 
 (** Evaluate one expression in [lang]'s environment; [?fuel] bounds its

@@ -114,10 +114,7 @@ type request =
       (** compile, then instantiate; the response carries the program's
           captured output *)
   | Expand of { path : string }  (** fully-expanded core forms as text *)
-  | Analyze of { path : string; stage : string option }
-      (** 0CFA flow analysis over the expanded core forms; [stage] picks
-          the solver stage (wide|compiled|lazy|delta, daemon default when
-          absent) *)
+  | Analyze of { path : string }  (** 0CFA flow analysis over the expanded core forms *)
   | Status  (** daemon liveness/counters snapshot *)
   | Cancel of { target : Json.t }
       (** abort the queued or in-flight request whose [id] equals
@@ -155,9 +152,7 @@ let request_to_json ?(id = Json.Null) (req : request) : Json.t =
         [ ("op", Json.Str "run"); ("path", Json.Str path) ]
         @ (match fuel with None -> [] | Some f -> [ ("fuel", Json.Num (float_of_int f)) ])
     | Expand { path } -> [ ("op", Json.Str "expand"); ("path", Json.Str path) ]
-    | Analyze { path; stage } ->
-        [ ("op", Json.Str "analyze"); ("path", Json.Str path) ]
-        @ (match stage with None -> [] | Some s -> [ ("stage", Json.Str s) ])
+    | Analyze { path } -> [ ("op", Json.Str "analyze"); ("path", Json.Str path) ]
     | Status -> [ ("op", Json.Str "status") ]
     | Cancel { target } -> [ ("op", Json.Str "cancel"); ("target", target) ]
     | Shutdown -> [ ("op", Json.Str "shutdown") ]
@@ -193,9 +188,7 @@ let request_of_json (j : Json.t) : (envelope, string) result =
                 in
                 with_path op (fun path -> Run { path; fuel })
             | "expand" -> with_path op (fun path -> Expand { path })
-            | "analyze" ->
-                let stage = str "stage" in
-                with_path op (fun path -> Analyze { path; stage })
+            | "analyze" -> with_path op (fun path -> Analyze { path })
             | "status" -> Ok Status
             | "cancel" -> (
                 match Json.member "target" j with

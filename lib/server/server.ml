@@ -281,38 +281,22 @@ let handle (srv : t) (conn : conn) (c : Metrics.t) (env : P.envelope) : Json.t =
           Metrics.count "server.errors";
           let exit, fields = failure_fields ds in
           P.response ~id ~op ~ok:false ~exit ~fields ())
-  | P.Analyze { path; stage } -> (
+  | P.Analyze { path } -> (
       let observe = { Observe.metrics = Some c; trace = Trace.current () } in
-      let stage =
-        match stage with
-        | None -> Ok None
-        | Some s -> (
-            match Liblang_core.Core.Zcfa.stage_of_string s with
-            | Some st -> Ok (Some st)
-            | None ->
+      let r =
+        in_request_env srv conn (fun () ->
+            match Pipeline.slurp path with
+            | exception Sys_error m ->
                 Error
                   [
                     Diagnostic.error ~phase:Diagnostic.Module
-                      (Printf.sprintf "analyze: unknown stage %S (wide, compiled, lazy, delta)" s);
-                  ])
-      in
-      let r =
-        match stage with
-        | Error ds -> Error ds
-        | Ok stage ->
-            in_request_env srv conn (fun () ->
-                match Pipeline.slurp path with
-                | exception Sys_error m ->
-                    Error
-                      [
-                        Diagnostic.error ~phase:Diagnostic.Module
-                          ("cannot read file: " ^ m);
-                      ]
-                | source ->
-                    Compiled.with_source_dir path (fun () ->
-                        Pipeline.analyze ?fuel:srv.cfg.fuel ?stage
-                          ~name:(Filename.remove_extension (Filename.basename path))
-                          ~observe source))
+                      ("cannot read file: " ^ m);
+                  ]
+            | source ->
+                Compiled.with_source_dir path (fun () ->
+                    Pipeline.analyze ?fuel:srv.cfg.fuel
+                      ~name:(Filename.remove_extension (Filename.basename path))
+                      ~observe source))
       in
       match r with
       | Ok lines ->

@@ -469,10 +469,16 @@ let register_for_module (mod_name : string) =
   List.iter (fun n -> ho n (Fun ([ Number ], Number))) [ "add1"; "sub1"; "abs"; "sqrt" ];
   List.iter (fun n -> ho n (Fun ([ Real ], Float))) [ "sin"; "cos"; "exp"; "log" ]
 
-let initialized = ref false
+(* Worker domains typecheck concurrently.  The tables are filled under
+   [init_lock] and [initialized] is set only once they are full, so a
+   domain that sees the flag never reads a half-filled table. *)
+let initialized = Atomic.make false
+let init_lock = Mutex.create ()
 
 let ensure_initialized () =
-  if not !initialized then begin
-    initialized := true;
-    register_for_module "racket"
-  end
+  if not (Atomic.get initialized) then
+    Mutex.protect init_lock (fun () ->
+        if not (Atomic.get initialized) then begin
+          register_for_module "racket";
+          Atomic.set initialized true
+        end)

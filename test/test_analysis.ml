@@ -178,8 +178,43 @@ let t_parity name src =
       Alcotest.(check string) "analyzed vm" reference (run_vm src);
       Alcotest.(check string) "unanalyzed vm" reference (run_vm_nocfa src))
 
+(* -- pinned fixpoint: the Figs. 6-9 fact tables --------------------------------
+
+   Every fact [liblang analyze] proves over the 48 figure variants, line
+   for line against test/analysis_facts.expected.  The summary line is
+   dropped: its sweep and transfer counts measure the solver, not the
+   fixpoint.  Each module gets a fixed name so the source locations in
+   the fact lines are stable.  On a mismatch the current report is
+   written to analysis_facts.actual in the test's build directory
+   (_build/default/test/); copy it over the expected file to accept it. *)
+
+let fig_facts_report () =
+  List.concat_map
+    (fun (p : Programs.t) ->
+      List.concat_map
+        (fun (variant, lang, body) ->
+          let name = Printf.sprintf "facts-%s-%s" p.name variant in
+          let header = Printf.sprintf "%s %s" p.name variant in
+          match Pipeline.analyze ~name (Printf.sprintf "#lang %s\n%s" lang body) with
+          | Ok (_summary :: facts) -> header :: facts
+          | Ok [] -> Alcotest.failf "%s: empty report" header
+          | Error ds ->
+              Alcotest.failf "%s: %s" header
+                (String.concat "; " (List.map Diagnostic.to_string ds)))
+        [ ("untyped", "racket", p.untyped); ("typed", "typed/racket", p.typed) ])
+    (List.filter (fun (p : Programs.t) -> String.starts_with ~prefix:"fig" p.figure) Programs.all)
+
+let fig_facts_pinned () =
+  let actual = String.concat "\n" (fig_facts_report ()) ^ "\n" in
+  let expected = In_channel.with_open_bin "analysis_facts.expected" In_channel.input_all in
+  if actual <> expected then
+    Out_channel.with_open_bin "analysis_facts.actual" (fun oc -> output_string oc actual);
+  Alcotest.(check string) "fact lines match test/analysis_facts.expected" expected actual
+
 let suite =
   [
+    Alcotest.test_case "0cfa: Figs. 6-9 fact tables match the pinned fixpoint" `Quick
+      fig_facts_pinned;
     to_alcotest chain_soundness;
     to_alcotest inbounds_soundness;
     Alcotest.test_case "0cfa: polymorphic merge point is not direct" `Quick

@@ -89,7 +89,8 @@ let fuel_exhaustion_point () =
   check_b "fuel: the budget actually ran out" true (contains di "fuel")
 
 (* The vm.* and lower.* counters: a float loop under the VM must
-   actually retire bytecode (the perf_smoke canary's in-process twin). *)
+   actually retire bytecode, not silently fall back to the tree walker
+   (fallback is observably identical by design -- docs/backend.md). *)
 let vm_counters () =
   Modsys.reset_user_modules_for_tests ();
   let c = Metrics.create () in

@@ -103,6 +103,41 @@ let interp_apps_counted () =
   let apps = c.Metrics.interp_apps in
   if apps < 100 then Alcotest.failf "expected >= 100 interp apps, got %d" apps
 
+(* The memoized binding resolver only caches multi-binder symbols, so a
+   shadowing-heavy program must record cache hits: zero means the cache
+   is bypassed by the single-binder fast path. *)
+let resolver_cache_exercised () =
+  let c =
+    metrics_of
+      "#lang racket\n\
+       (define x 1)\n\
+       (define (f x)\n\
+      \  (let ([x (+ x 10)])\n\
+      \    (let ([x (+ x 100)])\n\
+      \      (+ x x))))\n\
+       (define (g x) (+ x (f x)))\n\
+       (display (g x))\n"
+  in
+  check_b "expand.resolve_hits > 0" true (Metrics.get c "expand.resolve_hits" > 0)
+
+(* Every call in this typed program is monomorphic, so the 0CFA pass must
+   report call sites and the optimizer must turn at least one into a
+   direct call.  Parity tests cannot see an inert analysis: an
+   unoptimized program is observably identical by design. *)
+let cfa_facts_consumed () =
+  let c =
+    metrics_of
+      "#lang typed/racket\n\
+       (define (add2 [x : Integer]) : Integer (+ x 2))\n\
+       (define (go [v : (Vectorof Integer)]) : Integer\n\
+      \  (let ([n (vector-length v)])\n\
+      \    (let loop : Integer ([j : Integer 0] [acc : Integer 0])\n\
+      \      (if (< j n) (loop (+ j 1) (+ acc (vector-ref v j))) acc))))\n\
+       (display (add2 (go (make-vector 16 3))))\n"
+  in
+  check_b "analysis.call_sites > 0" true (Metrics.get c "analysis.call_sites" > 0);
+  check_b "opt.direct_calls > 0" true (Metrics.get c "opt.direct_calls" > 0)
+
 (* -- JSON -------------------------------------------------------------------- *)
 
 (* Metrics.to_json round-trips through the parser with counters intact —
@@ -228,6 +263,8 @@ let suite =
     Alcotest.test_case "all phase timers recorded" `Quick phase_timers_present;
     Alcotest.test_case "module compile/instantiate/re-expand counters" `Quick module_counters;
     Alcotest.test_case "interpreter applications counted" `Quick interp_apps_counted;
+    Alcotest.test_case "resolver cache exercised by shadowing" `Quick resolver_cache_exercised;
+    Alcotest.test_case "0CFA call sites become direct calls" `Quick cfa_facts_consumed;
     Alcotest.test_case "profile JSON round-trips" `Quick profile_json_roundtrip;
     Alcotest.test_case "JSON parser basics" `Quick json_parser_basics;
     Alcotest.test_case "NDJSON trace is well-formed" `Quick ndjson_trace_shape;

@@ -7,7 +7,15 @@ with the leaf reads and the arithmetic inlined, so a nest of unsafe
 operations evaluates with one closure call per operation, no dynamic
 dispatch, and no boxing of operands — the interpreter-level realization of
 the unboxing that the unsafe primitives signal to the code generator
-(paper section 7.1)."""
+(paper section 7.1).
+
+    python3 tools/gen_flfuse.py > lib/runtime/flfuse.ml
+
+writes the module to standard output.  `dune runtest` regenerates it into
+_build and fails when the checked-in file differs; `dune promote` then
+copies the regenerated file over it."""
+
+import sys
 
 binops = [("unsafe-fl+", "{} +. {}"), ("unsafe-fl-", "{} -. {}"),
           ("unsafe-fl*", "{} *. {}"), ("unsafe-fl/", "{} /. {}"),
@@ -263,6 +271,4 @@ let cun_table =
   ]
 ''')
 
-with open("lib/runtime/flfuse.ml", "w") as f:
-    f.write("\n".join(out))
-print("generated", sum(ch.count("\n") for ch in out), "lines")
+sys.stdout.write("\n".join(out))

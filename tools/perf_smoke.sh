@@ -1,35 +1,27 @@
 #!/bin/sh
 # Hygiene-engine perf smoke gate (CI): the fast path must stay *wired*,
-# not just fast.  Four checks (docs/architecture.md "Hygiene internals",
-# docs/observability.md metric catalogue):
+# not just fast.  Three checks, each needing bench subprocesses
+# (docs/architecture.md "Hygiene internals", docs/observability.md
+# metric catalogue):
 #
 #   1. the expansion stress family (bench --expand --smoke) expands and
 #      its closed-form checksums hold -- the bench driver exits 1 on any
 #      mismatch, same contract as the cross-variant checksum gate;
 #   2. BENCH_fig6.json actually carries the expansion_stress rows with
 #      ok:true (guards against the bench wiring silently dropping them);
-#   3. a shadowing-heavy program reports expand.resolve_hits > 0 under
-#      --profile=json -- the memoized binding resolver only caches
-#      multi-binder symbols, so this asserts the cache is exercised
-#      rather than silently bypassed by the single-binder fast path;
-#   4. the stress family re-runs alone (--filter stx-: no fig6 rows, no
+#   3. the stress family re-runs alone (--filter stx-: no fig6 rows, no
 #      parallel projects, hence no domain pool) -- the single-domain
 #      regression gate for the parallelism work: the gated locks must
-#      not change any checksum when no pool is active;
-#   5. a typed float loop under run --engine vm reports
-#      vm.instructions > 0 via --profile=json -- the bytecode VM must be
-#      actually retiring instructions, not silently falling back to the
-#      tree walker (docs/backend.md);
-#   6. a known-monomorphic typed program reports analysis.call_sites > 0
-#      and opt.direct_calls > 0 via --profile=json -- the 0CFA pass must
-#      be finding call sites and the optimizer must be consuming its
-#      facts, so a silently inert analysis cannot pass CI
-#      (docs/analysis.md).
+#      not change any checksum when no pool is active.
+#
+# The in-process counter canaries live in the test suite: the resolver
+# cache and 0CFA cases in test/test_observe.ml, the VM's vm.instructions
+# case in test/test_backend.ml.
 #
 # Timings are noise in CI and are not asserted; correctness of the perf
 # machinery is what this gate pins down.
 #
-# Usage: tools/perf_smoke.sh [path/to/bench/main.exe [path/to/liblang.exe]]
+# Usage: tools/perf_smoke.sh [path/to/bench/main.exe]
 # (from the repo root; the script cd's there itself when invoked from
 # elsewhere).  With PERF_SMOKE_REUSE_JSON=1 and a BENCH_fig6.json already
 # present, step 1 is skipped and the existing file is checked instead --
@@ -40,13 +32,10 @@ set -u
 cd "$(dirname "$0")/.." || exit 2
 
 BENCH=${1:-_build/default/bench/main.exe}
-LIBLANG=${2:-_build/default/bin/liblang.exe}
-for exe in "$BENCH" "$LIBLANG"; do
-  if [ ! -x "$exe" ]; then
-    echo "perf_smoke: $exe not built (dune build first)" >&2
-    exit 2
-  fi
-done
+if [ ! -x "$BENCH" ]; then
+  echo "perf_smoke: $BENCH not built (dune build first)" >&2
+  exit 2
+fi
 
 if command -v timeout >/dev/null 2>&1; then RUN="timeout 300"; else RUN=""; fi
 
@@ -83,36 +72,7 @@ else
   fi
 fi
 
-# -- 3. the resolver cache is exercised (hits > 0 on shadowing) --------------
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
-
-cat > "$WORK/shadow.scm" <<'EOF'
-#lang racket
-(define x 1)
-(define (f x)
-  (let ([x (+ x 10)])
-    (let ([x (+ x 100)])
-      (+ x x))))
-(define (g x) (+ x (f x)))
-(display (g x))
-EOF
-
-out=$($RUN "$LIBLANG" run --profile=json "$WORK/shadow.scm" 2>/dev/null)
-# Program output precedes the JSON object on stdout; the counter line is
-# unambiguous either way.
-hits=$(printf '%s\n' "$out" | sed -n 's/.*"expand\.resolve_hits": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-if [ -z "${hits:-}" ]; then
-  echo "perf_smoke: FAIL: expand.resolve_hits missing from --profile=json output" >&2
-  fail=1
-elif [ "$hits" -le 0 ]; then
-  echo "perf_smoke: FAIL: expand.resolve_hits = $hits (resolver cache not exercised)" >&2
-  fail=1
-else
-  echo "perf_smoke: resolver cache exercised (expand.resolve_hits = $hits)"
-fi
-
-# -- 4. single-domain regression gate: stx checksums with no pool ------------
+# -- 3. single-domain regression gate: stx checksums with no pool ------------
 # Re-run the stress family alone in a scratch directory.  `--filter stx-`
 # skips the fig6 rows and the parallel projects entirely, so no domain
 # pool ever activates: this pins the stress checksums on the pure
@@ -120,6 +80,8 @@ fi
 # locks sit off the intern-hit fast path -- docs/architecture.md,
 # "Parallelism & domain-safety").  Gate on checksums, never wall time.
 echo "== perf_smoke: single-domain stx stress (--expand --smoke --filter stx-) =="
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 BENCH_ABS=$(cd "$(dirname "$BENCH")" && pwd)/$(basename "$BENCH")
 if ! (cd "$WORK" && $RUN "$BENCH_ABS" --expand --smoke --filter "stx-" >/dev/null); then
   echo "perf_smoke: FAIL: single-domain stx stress exited nonzero (checksum gate?)" >&2
@@ -139,69 +101,6 @@ else
   else
     echo "perf_smoke: single-domain stx checksums hold ($srows rows)"
   fi
-fi
-
-# -- 5. the bytecode VM is wired (vm.instructions > 0 under --engine vm) -----
-# Same answer under both engines, and the VM run must actually retire
-# bytecode: a zero counter means every form fell back to the interpreter,
-# which the parity gates cannot see (fallback is observably identical by
-# design -- docs/backend.md).
-cat > "$WORK/flloop.scm" <<'EOF'
-#lang typed/racket
-(: run (Float -> Float))
-(define (run n)
-  (let loop : Float ([i : Float 0.0] [s : Float 0.0])
-    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))
-(display (run 1000.0))
-EOF
-
-interp_out=$($RUN "$LIBLANG" run "$WORK/flloop.scm" 2>/dev/null)
-vm_answer=$($RUN "$LIBLANG" run --engine vm "$WORK/flloop.scm" 2>/dev/null)
-if [ "$interp_out" != "$vm_answer" ]; then
-  echo "perf_smoke: FAIL: --engine vm output '$vm_answer' != interpreter '$interp_out'" >&2
-  fail=1
-fi
-# The profile JSON follows the program output on stdout; the counter line
-# is unambiguous either way.
-vm_out=$($RUN "$LIBLANG" run --profile=json --engine vm "$WORK/flloop.scm" 2>/dev/null)
-instrs=$(printf '%s\n' "$vm_out" | sed -n 's/.*"vm\.instructions": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-if [ -z "${instrs:-}" ]; then
-  echo "perf_smoke: FAIL: vm.instructions missing from --engine vm --profile=json output" >&2
-  fail=1
-elif [ "$instrs" -le 0 ]; then
-  echo "perf_smoke: FAIL: vm.instructions = $instrs (VM fell back to the interpreter)" >&2
-  fail=1
-else
-  echo "perf_smoke: bytecode VM wired (vm.instructions = $instrs)"
-fi
-
-# -- 6. the 0CFA analysis is wired (facts found and consumed) -----------------
-# Every call in this program is monomorphic, so the analysis must report
-# call sites and the optimizer must turn at least one of them into a
-# direct call.  Zero on either counter means the flow-analysis pipeline
-# is inert -- parity gates cannot see that (an unoptimized program is
-# observably identical by design -- docs/analysis.md).
-cat > "$WORK/mono.scm" <<'EOF'
-#lang typed/racket
-(define (add2 [x : Integer]) : Integer (+ x 2))
-(define (go [v : (Vectorof Integer)]) : Integer
-  (let ([n (vector-length v)])
-    (let loop : Integer ([j : Integer 0] [acc : Integer 0])
-      (if (< j n) (loop (+ j 1) (+ acc (vector-ref v j))) acc))))
-(display (add2 (go (make-vector 16 3))))
-EOF
-
-mono_out=$($RUN "$LIBLANG" run --profile=json "$WORK/mono.scm" 2>/dev/null)
-sites=$(printf '%s\n' "$mono_out" | sed -n 's/.*"analysis\.call_sites": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-directs=$(printf '%s\n' "$mono_out" | sed -n 's/.*"opt\.direct_calls": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-if [ -z "${sites:-}" ] || [ "$sites" -le 0 ]; then
-  echo "perf_smoke: FAIL: analysis.call_sites = ${sites:-missing} (0CFA pass inert)" >&2
-  fail=1
-elif [ -z "${directs:-}" ] || [ "$directs" -le 0 ]; then
-  echo "perf_smoke: FAIL: opt.direct_calls = ${directs:-missing} (facts not consumed)" >&2
-  fail=1
-else
-  echo "perf_smoke: 0CFA wired (analysis.call_sites = $sites, opt.direct_calls = $directs)"
 fi
 
 if [ "$fail" -ne 0 ]; then
