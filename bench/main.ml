@@ -3,109 +3,28 @@
     table.
 
     Usage:
-    [dune exec bench/main.exe -- [fig6|fig7|fig8|fig9|prose|ablate|boundary|bechamel|expand|all] [--quick|--smoke] [--cached|--expand] [-j N] [--filter REGEX]]
+    [dune exec bench/main.exe -- [fig6|fig7|fig8|fig9|prose|ablate|boundary|all] [--quick]]
 
-    [--filter REGEX] restricts every family (figure rows, the expansion
-    stress programs, the parallel-build projects) to benchmarks whose
-    name matches the unanchored regex — CI smoke uses it to run a
-    representative subset.  [-j N] sets the worker-domain count of the
-    parallel-build series (default: the machine's recommended domain
-    count, at least 2 so the pool machinery is always exercised).
-
-    [fig6] (alone or within [all]) additionally writes [BENCH_fig6.json]
-    — per-benchmark medians, variants, checksums, and optimizer rewrite
-    counts (schema in docs/observability.md) — so the perf trajectory is
-    machine-tracked.  [--smoke] is the CI mode: one round per variant,
-    still emits the JSON, and the process exits 1 if any variant's
-    checksum diverges from its siblings.
-
-    [--cached] adds the separate-compilation series: each variant's
-    source is additionally compiled twice through the artifact store
-    (fresh temp cache dir, resolver session reset in between), and the
-    figure JSON gains [compile_cold_ms] / [compile_warm_ms] per variant —
-    the cold-vs-warm compile-time gap is the §5 replay dividend. *)
+    [--quick] runs 3 rounds per variant instead of 9.  The process exits
+    1 if any variant's checksum diverges from its siblings: a
+    mis-optimization is a correctness failure, not a perf artifact.
+    Per-layer timings, parallel builds and the compile server are
+    measured by the repository benchmark (perfbench/README.md). *)
 
 module Core = Liblang_core.Core
 open Harness
 
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
-let chaos = Array.exists (fun a -> a = "--chaos" || a = "chaos") Sys.argv
-let serve_mode = Array.exists (fun a -> a = "--serve") Sys.argv
-let expand_mode = Array.exists (fun a -> a = "--expand" || a = "expand") Sys.argv
-let quick = smoke || Array.exists (fun a -> a = "--quick") Sys.argv
-let cached = Array.exists (fun a -> a = "--cached") Sys.argv
-let rounds = if smoke then 1 else if quick then 3 else 9
-let () = Harness.cached_series := cached
-
-(* the value following [flag] on the command line, if any *)
-let arg_value flag =
-  let rec go i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = flag then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
-(** Worker domains for the parallel-build series: [-j N], defaulting to
-    the machine's recommended count but at least 2 (so the domain pool,
-    locking and merge paths are exercised even on a 1-core box — the
-    JSON records the core count so a speedup < 1 there is
-    interpretable). *)
-let jobs =
-  match Option.bind (arg_value "-j") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> max 2 (Domain.recommended_domain_count ())
-
-let () = Option.iter Harness.set_filter (arg_value "--filter")
+let quick = Array.exists (fun a -> a = "--quick") Sys.argv
+let rounds = if quick then 3 else 9
 
 let fig6 () =
-  (* the expansion series runs first: expansion-only timings are sensitive
-     to how many bindings earlier compilations have piled into the global
-     binding table, so the stress family is measured on a quiet table *)
-  let expansion = run_expand_figure ~rounds:(if smoke then 1 else 3) () in
-  let rows =
-    run_figure ~rounds
-      ~title:
-        "Figure 6: Gabriel & Larceny benchmarks — naive backend stands in for the\n\
-         other Scheme systems measured in the paper (see DESIGN.md)"
-      ~figure:"fig6"
-      ~variants:[ Naive_backend; Base; Typed ]
-      ()
-  in
-  (* the vector-kernel pair rides along in BENCH_fig6.json with the
-     flow-analysis ablation column: typed-nocfa compiles with the
-     optimizer on but the 0CFA facts off, so the typed-vs-nocfa gap is
-     what direct calls, closure unboxing and bound-check elision buy,
-     and the checksum gate proves they bought it without changing
-     observable behavior *)
-  let vec_rows =
-    run_figure ~rounds
-      ~only:[ "spectralnorm"; "nbody" ]
-      ~title:
-        "Vector kernels (the 0CFA series): typed-nocfa = optimizer on, flow analysis off"
-      ~figure:"fig7"
-      ~variants:[ Base; Typed_no_cfa; Typed ]
-      ()
-  in
-  let rows = rows @ vec_rows in
-  (* the parallel-build series runs last: it resets the resolver session
-     (clearing the user module registry), which must not race the rows
-     above re-instantiating their declared modules *)
-  let par = run_parallel_figure ~jobs ~smoke () in
-  (* --serve: the compile-server series — N client domains x M warm run
-     requests against an in-process daemon, with the compiles=0 warm gate
-     (not subject to --filter; it measures the server, not a benchmark) *)
-  let server = if serve_mode then Some (run_server_figure ~smoke ()) else None in
-  (* the VM allocation gate: float kernels must run their inner loops on
-     the unboxed register lanes (near-zero minor words), see
-     Harness.vm_alloc_budgets *)
-  check_vm_allocation rows;
-  (* the expected-rewrite gate: the 0CFA-fed rules must fire on typed and
-     stay silent on typed-nocfa, see Harness.expected_rewrites *)
-  check_expected_rewrites rows;
-  write_figure_json ~expansion
-    ~parallel:(json_of_par_rows ~jobs par)
-    ?server ~path:"BENCH_fig6.json" ~figure:"fig6" ~rounds ~smoke rows
+  run_figure ~rounds
+    ~title:
+      "Figure 6: Gabriel & Larceny benchmarks — naive backend stands in for the\n\
+       other Scheme systems measured in the paper (see DESIGN.md)"
+    ~figure:"fig6"
+    ~variants:[ Naive_backend; Base; Typed ]
+    ()
 
 let fig7 () =
   run_figure ~rounds ~title:"Figure 7: Computer Language Benchmarks Game" ~figure:"fig7"
@@ -158,7 +77,7 @@ let ablate () =
         (o0.mean_ms /. base.mean_ms) (noubx.mean_ms /. base.mean_ms)
         (nocfa.mean_ms /. base.mean_ms) (full.mean_ms /. base.mean_ms);
       flush stdout)
-    [ "sumfp"; "fibfp"; "mbrot"; "nbody"; "fft"; "pseudoknot" ]
+    [ "sumfp"; "fibfp"; "mbrot"; "nbody"; "spectralnorm"; "fft"; "pseudoknot" ]
 
 (* Contract overhead at the typed/untyped boundary (§6): a typed module
    calling an untyped function through require/typed pays a contract per
@@ -229,105 +148,33 @@ let boundary () =
     (t_ut /. t_local);
   flush stdout
 
-(* Bechamel micro-benchmark suite: one grouped test per figure. *)
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let test_of_bench (b : Programs.t) v =
-    let m = declare_variant b v in
-    Test.make
-      ~name:(Printf.sprintf "%s/%s" b.Programs.name (variant_name v))
-      (Staged.stage (fun () -> ignore (run_once m v)))
-  in
-  let group fig =
-    Test.make_grouped ~name:fig
-      (List.concat_map
-         (fun b -> [ test_of_bench b Base; test_of_bench b Typed ])
-         (Programs.by_figure fig))
-  in
-  let tests =
-    Test.make_grouped ~name:"liblang" [ group "fig6"; group "fig7"; group "fig8"; group "fig9" ]
-  in
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.3) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun instance ->
-      let tbl = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name v ->
-          match Analyze.OLS.estimates v with
-          | Some [ est ] -> Printf.printf "%-44s %14.0f ns/run\n" name est
-          | _ -> Printf.printf "%-44s (no estimate)\n" name)
-        tbl)
-    instances
-
-(* CI gate: a checksum disagreement between variants of the same benchmark
-   means a mis-optimization, not noise — fail the process. *)
+(* A checksum disagreement between variants of the same benchmark means a
+   mis-optimization, not noise — fail the process. *)
 let finish () =
-  (match !Harness.alloc_gate_failures with
-  | [] -> ()
-  | fs ->
-      Printf.eprintf "FAIL: %d float kernel%s over the vm allocation budget (see above)\n"
-        (List.length fs)
-        (if List.length fs = 1 then "" else "s"));
-  (match !Harness.rewrite_gate_failures with
-  | [] -> ()
-  | fs ->
-      Printf.eprintf
-        "FAIL: %d expected-rewrite gate violation%s (0CFA rules inert or leaking, see above)\n"
-        (List.length fs)
-        (if List.length fs = 1 then "" else "s"));
-  (match !Harness.checksum_mismatches with
+  match !Harness.checksum_mismatches with
   | [] -> ()
   | ms ->
       Printf.eprintf "FAIL: %d variant checksum mismatch%s (see table output above)\n"
         (List.length ms)
-        (if List.length ms = 1 then "" else "es"));
-  if
-    !Harness.alloc_gate_failures <> []
-    || !Harness.rewrite_gate_failures <> []
-    || !Harness.checksum_mismatches <> []
-  then exit 1
+        (if List.length ms = 1 then "" else "es");
+      exit 1
+
+let sections =
+  [
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("prose", prose);
+    ("ablate", ablate);
+    ("boundary", boundary);
+  ]
 
 let () =
   Core.init ();
-  let known =
-    [ "fig6"; "fig7"; "fig8"; "fig9"; "prose"; "ablate"; "boundary"; "bechamel"; "all" ]
-  in
-  let arg =
-    if chaos then "chaos"
-    else if expand_mode then "expand"
-    else
-      match Array.find_opt (fun a -> List.mem a known) Sys.argv with
-      | Some a -> a
-      | None -> "all"
-  in
-  (match arg with
-  (* --chaos: the robustness gate — seeded fault schedules over the
-     gen-modules graphs; recovery, artifact parity and checksum are
-     asserted via the same mismatch mechanism as every other gate *)
-  | "chaos" -> run_chaos_smoke ~jobs ()
-  (* --expand: the hygiene-at-speed series — fig6 with its per-variant
-     [expand_ms] fields plus the expansion stress family, written to
-     BENCH_fig6.json (the CI perf-smoke step runs this with --smoke) *)
-  | "expand" -> fig6 ()
-  | "fig6" -> fig6 ()
-  | "fig7" -> ignore (fig7 ())
-  | "fig8" -> ignore (fig8 ())
-  | "fig9" -> ignore (fig9 ())
-  | "prose" -> prose ()
-  | "ablate" -> ablate ()
-  | "boundary" -> boundary ()
-  | "bechamel" -> bechamel ()
-  | "all" | _ ->
-      fig6 ();
-      ignore (fig7 ());
-      ignore (fig8 ());
-      ignore (fig9 ());
-      prose ();
-      ablate ();
-      boundary ();
+  (match List.find_opt (fun (name, _) -> Array.mem name Sys.argv) sections with
+  | Some (_, run) -> run ()
+  | None ->
+      List.iter (fun (_, run) -> run ()) sections;
       Printf.printf "\nDone. See EXPERIMENTS.md for the paper-vs-measured discussion.\n");
   finish ()

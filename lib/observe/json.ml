@@ -1,6 +1,6 @@
 (** A deliberately small JSON library: enough to emit the profiler's
-    machine-readable output ([--profile=json], trace NDJSON, and
-    [BENCH_fig6.json]) and to parse it back in tests and tooling, without
+    machine-readable output ([--profile=json], trace NDJSON and the
+    server protocol) and to parse it back in tests and tooling, without
     adding a dependency the container may not have.
 
     Emission is total; parsing is strict RFC-8259-shaped (objects, arrays,

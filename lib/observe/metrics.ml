@@ -164,7 +164,10 @@ let merge ~(into : t) (c : t) : unit =
 let phase_order =
   [ "read"; "expand"; "typecheck"; "analyze"; "optimize"; "compile"; "lower"; "load"; "instantiate" ]
 
-(** Human-readable profile report (what [--profile] prints). *)
+(** Human-readable profile report (what [--profile] prints): the phase
+    table, then every counter, grouped under the dotted prefix before its
+    first ['.'].  A counter with a same-named timer (each
+    ["expand.macro.<m>"]) also shows that timer's inclusive ms. *)
 let render (c : t) : string =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "== profile ==\n";
@@ -176,47 +179,18 @@ let render (c : t) : string =
       | Some t -> Buffer.add_string buf (Printf.sprintf "  %-12s %10.3f ms  (%d call%s)\n" p (1000.0 *. t.total_s) t.calls (if t.calls = 1 then "" else "s"))
       | None -> ())
     phase_order;
-  let section title prefix render_row =
-    match by_prefix c prefix with
-    | [] -> ()
-    | rows ->
-        Buffer.add_string buf (title ^ ":\n");
-        List.iter render_row
-          (List.sort (fun (_, a) (_, b) -> compare b a) rows)
-  in
-  section "macro expansions" "expand.macro." (fun (name, n) ->
-      let ms = get_ms c ("expand.macro." ^ name) in
-      Buffer.add_string buf
-        (if ms > 0.0 then Printf.sprintf "  %-28s %8d  %10.3f ms\n" name n ms
-         else Printf.sprintf "  %-28s %8d\n" name n));
-  section "compile-time fuel by macro" "expand.fuel." (fun (name, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d steps\n" name n));
-  section "optimizer rewrites" "optimize." (fun (rule, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" rule n));
-  section "reader" "reader." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
-  (let hyg =
-     List.filter_map
-       (fun k ->
-         match Hashtbl.find_opt c.counters k with Some r -> Some (k, !r) | None -> None)
-       [
-         "expand.resolve_hits";
-         "expand.resolve_misses";
-         "stx.scope_pushes";
-         "stx.symbols_interned";
-         "stx.scope_sets_interned";
-       ]
-   in
-   if hyg <> [] then begin
-     Buffer.add_string buf "hygiene engine:\n";
-     List.iter
-       (fun (k, n) -> Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n))
-       hyg
-   end);
-  section "module system" "module." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
-  section "artifact cache" "cache." (fun (k, n) ->
-      Buffer.add_string buf (Printf.sprintf "  %-28s %8d\n" k n));
+  let group k = match String.index_opt k '.' with Some i -> String.sub k 0 i | None -> k in
+  ignore
+    (List.fold_left
+       (fun prev (k, n) ->
+         let g = group k in
+         if prev <> Some g then Buffer.add_string buf (g ^ ":\n");
+         let ms = get_ms c k in
+         Buffer.add_string buf
+           (if ms > 0.0 then Printf.sprintf "  %-36s %8d  %10.3f ms\n" k n ms
+            else Printf.sprintf "  %-36s %8d\n" k n);
+         Some g)
+       None (counters_alist c));
   if c.interp_apps > 0 then
     Buffer.add_string buf (Printf.sprintf "interpreter applications: %d\n" c.interp_apps);
   Buffer.contents buf

@@ -192,11 +192,10 @@ let reset_for_tests () =
 
 (* -- measurement isolation --------------------------------------------------
 
-   The bench harness expands throwaway modules (fresh names, never
-   instantiated) purely to time expansion.  Each such expansion appends
-   binders to the per-name entry lists, and every later resolution of a
-   shared name (loop, i, n, ...) scans those lists — so timing expansion
-   would slow down everything measured after it.  Snapshot/restore brackets
+   A benchmark that compiles throwaway modules (fresh names, never
+   reused) appends binders to the per-name entry lists with each one, and
+   every later resolution of a shared name (loop, i, n, ...) scans those
+   lists — so each measured round would slow down every round after it.  Snapshot/restore brackets
    the throwaway work.  Entry lists are immutable (add replaces the list),
    so a shallow table copy is a faithful snapshot.  Both operate on the
    calling domain's state. *)

@@ -66,8 +66,8 @@ type snapshot
 val snapshot : unit -> snapshot
 
 (** Replace the binding table with a previously captured {!snapshot} and
-    drop the resolver cache.  Used by the bench harness to make
-    expansion-only measurements leave no residue: throwaway modules
-    expanded for timing would otherwise keep growing the per-name binder
-    lists that every later resolution scans. *)
+    drop the resolver cache.  Used by the repository benchmark to make
+    repeated rounds leave no residue: throwaway modules compiled for
+    timing would otherwise keep growing the per-name binder lists that
+    every later resolution scans. *)
 val restore : snapshot -> unit

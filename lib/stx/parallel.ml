@@ -23,7 +23,7 @@
     every request served concurrently runs with the gated locks live.
 
     The module also hosts the pool-level counters ({!tasks}, {!lock_waits})
-    that the bench harness reports as [par.tasks] / [par.lock_waits]. *)
+    that the build driver reports as [par.tasks] / [par.lock_waits]. *)
 
 (* Number of nested/concurrent activations; > 0 while any domain pool runs. *)
 let activations = Atomic.make 0

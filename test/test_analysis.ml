@@ -211,6 +211,58 @@ let fig_facts_pinned () =
     Out_channel.with_open_bin "analysis_facts.actual" (fun oc -> output_string oc actual);
   Alcotest.(check string) "fact lines match test/analysis_facts.expected" expected actual
 
+(* -- the expected-rewrite gate --------------------------------------------------
+
+   The 0CFA-fed rewrite classes must fire on the typed variant of the
+   kernels below (a silently inert analysis cannot pass), and must all
+   stay at zero with the analysis off on every figure program (facts
+   leaking past the ablation switch cannot pass either). *)
+
+(** Every rewrite rule fed by the 0CFA facts table (as opposed to the
+    type-driven rules like [fl:+] or [vec:ref]). *)
+let cfa_rules = [ "opt:direct-call"; "opt:closure-unbox"; "vec:ref!"; "vec:set!" ]
+
+(** Per-benchmark floors: rules that must fire at least once on the
+    typed variant.  spectralnorm's [mulAv] keeps its matrix-element
+    accessor as a single-call-site [let]-bound lambda precisely so
+    closure unboxing has a benchmarked target. *)
+let expected_rewrites =
+  [
+    ("spectralnorm", [ "opt:direct-call"; "opt:closure-unbox"; "vec:ref!"; "vec:set!" ]);
+    ("nbody", [ "opt:direct-call" ]);
+  ]
+
+(* The optimizer's per-rule rewrite counts for [p]'s typed variant. *)
+let typed_rewrites (p : Programs.t) : string -> int =
+  Optimize.reset_stats ();
+  ignore (Modsys.declare ~name:(fresh p.name) ("#lang typed/racket\n" ^ p.typed));
+  let stats = Optimize.stats_alist () in
+  fun rule -> Option.value ~default:0 (List.assoc_opt rule stats)
+
+let expected_rewrites_fire () =
+  List.iter
+    (fun (name, rules) ->
+      let count = typed_rewrites (Programs.find name) in
+      List.iter
+        (fun rule ->
+          if count rule = 0 then
+            Alcotest.failf "%s: expected rewrite %s did not fire on typed" name rule)
+        rules)
+    expected_rewrites
+
+let cfa_rules_silent_without_facts () =
+  with_ref Zcfa.enabled false @@ fun () ->
+  List.iter
+    (fun (p : Programs.t) ->
+      let count = typed_rewrites p in
+      List.iter
+        (fun rule ->
+          if count rule > 0 then
+            Alcotest.failf "%s: 0CFA-fed rewrite %s fired %d times with the analysis off"
+              p.name rule (count rule))
+        cfa_rules)
+    (List.filter (fun (p : Programs.t) -> String.starts_with ~prefix:"fig" p.figure) Programs.all)
+
 let suite =
   [
     Alcotest.test_case "0cfa: Figs. 6-9 fact tables match the pinned fixpoint" `Quick
@@ -223,4 +275,8 @@ let suite =
       escaping_not_unboxable;
     t_parity "parity: unboxed-closure float kernel" kernel;
     t_parity "parity: counted loop with elided bound checks" counted_loop;
+    Alcotest.test_case "rewrite gate: 0CFA rules fire on the vector kernels" `Quick
+      expected_rewrites_fire;
+    Alcotest.test_case "rewrite gate: 0CFA rules stay silent with the analysis off" `Quick
+      cfa_rules_silent_without_facts;
   ]

@@ -119,6 +119,62 @@ let vm_counters () =
   check_b "lower.protos > 0" true (Metrics.get c "lower.protos" > 0);
   check_b "lower.instructions > 0" true (Metrics.get c "lower.instructions" > 0)
 
+(* -- allocation budgets ------------------------------------------------------
+
+   Per-run minor-word budgets for the typed float kernels under the
+   bytecode VM, read with [Gc.minor_words] (which counts the current
+   minor heap; [Gc.quick_stat] only sees words up to the last minor
+   collection, so any run allocating less than one minor heap reads as
+   0 there).  sumfp and mbrot run their inner loops entirely on the float
+   registers, vs ~12.6M (sumfp) / ~4.5M (mbrot) words for the unboxing
+   interpreter -- the budget only needs to be far below the boxed
+   figure.  sumfp measures ~1.8k words.  mbrot measures ~132k: its 2304
+   calls to [iterations] each pay the VM's per-call frame and register
+   arrays (~57 words); the inner loop itself allocates nothing, and a
+   loop falling back to boxed floats costs millions of words.  heapsort's
+   sift loops are register-resident too, but its residue is structural:
+   ~30k generic sift-down! activations plus fill-random!'s per-slot
+   boxing put the measured floor at ~7.1M words (vs ~23.6M interp); the
+   10M budget still fails if the loops fall back to boxed locals. *)
+let vm_alloc_budgets =
+  [
+    ("sumfp", 50_000.0);
+    ("mbrot", 200_000.0);
+    ("heapsort", 10_000_000.0);
+    (* the 0CFA vector kernels: direct calls + closure unboxing +
+       bound-check elision put typed/vm at ~3.2M (nbody) / ~4.6M
+       (spectralnorm) minor words, vs ~7.1M / ~5.5M for typed-nocfa --
+       the budgets sit between the two, so losing the flow-driven wins
+       trips the gate *)
+    ("nbody", 5_000_000.0);
+    ("spectralnorm", 5_000_000.0);
+  ]
+
+(* Minor words of one VM instantiation of [name]'s typed variant, after
+   one warm-up run. *)
+let vm_minor_words (name : string) : float =
+  let b = Programs.find name in
+  let m = Modsys.declare ~name:(fresh name) ("#lang typed/racket\n" ^ b.Programs.typed) in
+  let run () =
+    m.Modsys.instantiated <- false;
+    ignore (Prims.with_captured_output (fun () -> Modsys.instantiate m))
+  in
+  Pipeline.with_engine Pipeline.Vm (fun () ->
+      run ();
+      let w0 = Gc.minor_words () in
+      run ();
+      Gc.minor_words () -. w0)
+
+let alloc_budgets =
+  List.map
+    (fun (name, budget) ->
+      Alcotest.test_case ("allocation budget: typed/vm " ^ name) `Slow (fun () ->
+          let words = vm_minor_words name in
+          if words > budget then
+            Alcotest.failf "%s: typed/vm allocated %.0f minor words, budget %.0f" name words
+              budget))
+    vm_alloc_budgets
+
 (* -- the IL's flat-int serialization ------------------------------------- *)
 
 let every_instr : Il.instr array =
@@ -161,3 +217,4 @@ let suite =
       t "il: unknown opcode is a decode error" il_bad_opcode;
       t "il: truncated stream is a decode error" il_truncated_stream;
     ]
+  @ alloc_budgets

@@ -298,6 +298,16 @@ let regressions =
 (display (list x tmp))|}
         in
         check_s "swap" "(2 1)" out);
+    Alcotest.test_case "expansion stress family prints its closed forms" `Quick (fun () ->
+        (* the macro-heavy stress programs (bench/programs.ml) against the
+           generator's closed form, copies * (2^depth + nvars): a mangled
+           expansion cannot pass.  No domain pool is active here, so this
+           also pins the single-domain path, where the parallelism gate's
+           locks must be a no-op *)
+        List.iter
+          (fun ((p : Programs.t), expected) ->
+            check_s p.Programs.name expected (run ("#lang racket\n" ^ p.Programs.untyped)))
+          Programs.expand_family);
   ]
 
 let suite = properties @ lazy_props @ regressions

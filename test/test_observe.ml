@@ -255,6 +255,28 @@ let off_leaves_no_residue () =
 
 (* -- suite -------------------------------------------------------------------- *)
 
+(* The text profile prints every counter the JSON one carries: under the
+   VM engine that includes the vm.*, lower.* and analysis.* families. *)
+let render_prints_every_counter () =
+  let c = Metrics.create () in
+  (match
+     Pipeline.run ~engine:Pipeline.Vm ~name:(fresh "observe-render")
+       ~observe:{ Observe.metrics = Some c; trace = None }
+       "#lang typed/racket\n\
+        (: run (Float -> Float))\n\
+        (define (run n)\n\
+       \  (let loop : Float ([i : Float 0.0] [s : Float 0.0])\n\
+       \    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))\n\
+        (display (run 100.0))\n"
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "program failed");
+  let text = Metrics.render c in
+  check_b "vm.instructions counted" true (Metrics.get c "vm.instructions" > 0);
+  List.iter
+    (fun (k, _) -> if not (contains text k) then Alcotest.failf "render omits counter %s" k)
+    (Metrics.counters_alist c)
+
 let suite =
   [
     Alcotest.test_case "macro counters are exact" `Quick macro_counts_exact;
@@ -270,4 +292,5 @@ let suite =
     Alcotest.test_case "NDJSON trace is well-formed" `Quick ndjson_trace_shape;
     Alcotest.test_case "hooks allocate nothing when off" `Quick off_means_no_allocation;
     Alcotest.test_case "observation leaves no ambient residue" `Quick off_leaves_no_residue;
+    Alcotest.test_case "text profile prints every counter" `Quick render_prints_every_counter;
   ]

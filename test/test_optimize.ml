@@ -4,6 +4,7 @@
 
 open Liblang_core.Core
 open Test_util
+module Pipeline = Liblang_core.Pipeline
 
 (* Count rewrites triggered by compiling one typed module. *)
 let rewrites_of body =
@@ -127,15 +128,41 @@ let preservation =
         "(define (f [z : Float]) (list (/ 1.0 z) (/ -1.0 z) (sqrt (* 1.0 4.0))))\n(display (f 0.0))";
   ]
 
-(* Every benchmark program agrees between its typed and untyped variant —
-   the harness's checksum invariant, enforced as unit tests too. *)
+(* Every benchmark program prints the same checksum under every way of
+   running it: the naive AST walker on the untyped source (the reference
+   semantics), the interpreter on untyped, typed, and typed with the 0CFA
+   facts off, and the bytecode VM on untyped and typed.  A
+   mis-optimization or a divergent engine cannot masquerade as a speedup. *)
+let run_vm src = Pipeline.with_engine Pipeline.Vm (fun () -> run src)
+
 let benchmarks_agree =
   List.map
     (fun (b : Programs.t) ->
       Alcotest.test_case ("benchmark agrees: " ^ b.Programs.name) `Slow (fun () ->
-          let u = run ("#lang racket\n" ^ b.Programs.untyped) in
-          let t = run ("#lang typed/racket\n" ^ b.Programs.typed) in
-          check_s b.Programs.name u t))
+          let untyped = "#lang racket\n" ^ b.Programs.untyped in
+          let typed = "#lang typed/racket\n" ^ b.Programs.typed in
+          let reference = with_ref Modsys.evaluator Naive.eval_top (fun () -> run untyped) in
+          let variants =
+            [
+              ("untyped", fun () -> run untyped);
+              ("typed", fun () -> run typed);
+              ("untyped/vm", fun () -> run_vm untyped);
+            ]
+            (* the expansion stress family's typed twin is its unannotated
+               untyped body, so its flow facts and VM lowering are the
+               untyped ones: only the fig programs pay for the typed
+               ablation and typed VM runs *)
+            @
+            if not (String.starts_with ~prefix:"fig" b.Programs.figure) then []
+            else
+              [
+                ("typed-nocfa", fun () -> with_ref Zcfa.enabled false (fun () -> run typed));
+                ("typed/vm", fun () -> run_vm typed);
+              ]
+          in
+          List.iter
+            (fun (variant, out) -> check_s (b.Programs.name ^ " " ^ variant) reference (out ()))
+            variants))
     Programs.all
 
 let suite = firing @ not_firing @ preservation @ benchmarks_agree

@@ -501,6 +501,35 @@ let worker_death_spares_daemon () =
       check_i "still warm after worker death" 0 (Client.summary_count j "compiles");
       Client.close c)
 
+(* Head-of-line isolation: a [store.write] delay holds session A's cold
+   compile on its worker; session B, on the other worker (consecutive
+   accepts shard round-robin), must get its warm run answered while A is
+   still held.  The reply order is asserted, never a latency. *)
+let warm_run_not_blocked_by_cold_compile () =
+  with_server ~workers:2 (fun socket dir ->
+      let main = project dir in
+      let warm = connect socket in
+      let cold = connect socket in
+      check_s "warm-up run" "11" (Client.output_of (run_req warm main));
+      let cold_path = Filename.concat dir "cold.scm" in
+      write_file cold_path "#lang racket\n(display 7)\n";
+      with_plan "seed=1;store.write=delay@250" (fun () ->
+          send_with_id cold ~id:(Json.Str "cold") (P.Run { path = cold_path; fuel = None });
+          (* let A reach its delayed artifact write *)
+          Unix.sleepf 0.03;
+          let j = run_req warm main in
+          check_b "warm run ok" true (Client.ok_of j);
+          check_s "warm run output" "11" (Client.output_of j);
+          let held =
+            match Unix.select [ cold.Client.fd ] [] [] 0.0 with [], _, _ -> true | _ -> false
+          in
+          check_b "warm run answers while the cold compile is held" true held;
+          let j = recv cold in
+          check_b "cold run ok" true (Client.ok_of j);
+          check_s "cold run output" "7" (Client.output_of j));
+      Client.close warm;
+      Client.close cold)
+
 let suite =
   [
     Alcotest.test_case "codec round-trips" `Quick codec_roundtrip;
@@ -524,4 +553,6 @@ let suite =
       idle_session_eviction_rebuilds_from_store;
     Alcotest.test_case "worker death spares the daemon" `Quick
       worker_death_spares_daemon;
+    Alcotest.test_case "warm run is not blocked by another session's cold compile" `Quick
+      warm_run_not_blocked_by_cold_compile;
   ]

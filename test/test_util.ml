@@ -42,6 +42,12 @@ let ev_err (src : string) : string =
   | exception Expander.Expand_error (m, _) -> "syntax: " ^ m
   | exception Compile.Compile_error (m, _) -> "compile: " ^ m
 
+(** Run [f] with [r] set to [v], restoring the old value after. *)
+let with_ref r v f =
+  let saved = !r in
+  r := v;
+  Fun.protect ~finally:(fun () -> r := saved) f
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
