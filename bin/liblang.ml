@@ -8,8 +8,8 @@
                                       ones); --fuel bounds evaluation steps;
                                       --profile reports per-phase wall time,
                                       per-macro expansion counts and
-                                      per-rule optimizer rewrites (as JSON
-                                      on stdout with --profile=json);
+                                      per-rule optimizer rewrites on stderr
+                                      (as JSON with --profile=json);
                                       --trace streams span/macro events to
                                       FILE (NDJSON if FILE ends in .json or
                                       .ndjson, indented text otherwise;
@@ -51,6 +51,7 @@ module Observe = Pipeline.Observe
 module Metrics = Pipeline.Metrics
 module Trace = Pipeline.Trace
 module Json = Liblang_core.Core.Json
+module Engine = Liblang_core.Core.Vm.Engine
 module Value = Liblang_core.Core.Value
 module Server = Liblang_server.Server
 module Client = Liblang_server.Client
@@ -77,7 +78,7 @@ let usage_text =
   \      --profile           print a profile report (per-phase wall time,\n\
   \                          per-macro expansion counts, per-rule optimizer\n\
   \                          rewrites) to stderr after the run\n\
-  \      --profile=json      same, as one JSON object on stdout\n\
+  \      --profile=json      same, as one JSON object on stderr\n\
   \      --trace FILE        stream trace events to FILE as the pipeline runs\n\
   \                          (NDJSON if FILE ends in .json/.ndjson, else text)\n\
   \      -v | -vv            trace verbosity: -vv adds each macro step with\n\
@@ -231,7 +232,7 @@ let parse_run_opts args =
         go rest
     | "--via-server" :: [] -> usage ()
     | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
+        match Engine.of_string e with
         | Some eng ->
             o.engine <- eng;
             go rest
@@ -266,6 +267,14 @@ let has_suffix suf s =
   let ls = String.length s and l = String.length suf in
   ls >= l && String.sub s (ls - l) l = suf
 
+(* Print the profile report.  Both forms go to stderr, so program output
+   on stdout never runs into it and the JSON form always parses. *)
+let emit_profile mode (metrics : Metrics.t option) =
+  match (metrics, mode) with
+  | Some c, Profile_json -> prerr_endline (Json.to_string ~pretty:true (Metrics.to_json c))
+  | Some c, Profile_text -> prerr_string (Metrics.render c)
+  | _ -> ()
+
 (* Build the trace sink (if requested) and arrange for the profile and the
    trace to reach the user even when a file fails and we exit through
    [fail]. *)
@@ -285,10 +294,7 @@ let setup_observe (o : run_opts) =
         Some (Trace.make_sink ~format ~verbosity:o.verbosity oc)
   in
   at_exit (fun () ->
-      (match (metrics, o.profile) with
-      | Some c, Profile_json -> print_endline (Json.to_string ~pretty:true (Metrics.to_json c))
-      | Some c, Profile_text -> prerr_string (Metrics.render c)
-      | _ -> ());
+      emit_profile o.profile metrics;
       match trace with Some s -> flush s.Trace.out; close_out_noerr s.Trace.out | None -> ());
   (metrics, trace)
 
@@ -536,7 +542,7 @@ let cmd_serve args =
             Printf.eprintf "liblang: bad --faults plan: %s\n" m;
             exit 64)
     | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
+        match Engine.of_string e with
         | Some eng ->
             engine := eng;
             go rest
@@ -662,12 +668,7 @@ let cmd_analyze args =
           let metrics =
             match !profile with Profile_off -> None | _ -> Some (Metrics.create ())
           in
-          at_exit (fun () ->
-              match (metrics, !profile) with
-              | Some c, Profile_json ->
-                  print_endline (Json.to_string ~pretty:true (Metrics.to_json c))
-              | Some c, Profile_text -> prerr_string (Metrics.render c)
-              | _ -> ());
+          at_exit (fun () -> emit_profile !profile metrics);
           let observe = { Observe.metrics; trace = None } in
           let name = Filename.remove_extension (Filename.basename path) in
           match Pipeline.analyze ~name ~observe source with
@@ -683,7 +684,7 @@ let cmd_eval args =
         go rest
     | "-l" :: [] -> usage ()
     | "--engine" :: e :: rest -> (
-        match Pipeline.engine_of_string e with
+        match Engine.of_string e with
         | Some eng ->
             engine := eng;
             go rest

@@ -78,8 +78,7 @@ let call_n (stack : value array) n sp =
 (* A call site the flow analysis proved monomorphic: the common case is
    an exact-arity closure, entered with a frame built straight off the
    stack — no applyN dispatch chain.  Anything else (a fact made stale
-   by an escaped rebind, or code round-tripped through an artifact that
-   dropped the analysis) falls back to the generic path, so the
+   by an escaped rebind) falls back to the generic path, so the
    observable behavior — including arity errors — is identical. *)
 let call_known (stack : value array) n sp =
   let f = if n = 1 then stack.(sp - 1) else stack.(sp - n - 1) in
@@ -101,10 +100,9 @@ let call_known (stack : value array) n sp =
    allocated, which is what keeps call-heavy code (fibfp) at parity
    with the tree-walker's compiled closures.
 
-   Register indices were bounds-checked against the proto's declared
-   register-file sizes when the code was built (Lower) or decoded
-   (Il.validate via Lower.code_of_datum), so the hot loop reads the
-   register files unchecked; the value stack and locals keep their
+   Register indices are within the proto's declared register-file
+   sizes by construction (Lower allocates both), so the hot loop reads
+   the register files unchecked; the value stack and locals keep their
    checks.  [ic] (instructions retired) rides along as an unboxed
    parameter and lands in [executed] only at activation exit. *)
 type act = {
@@ -397,17 +395,6 @@ let get (e : entry) unboxing = if unboxing then e.on_ else e.off_
 
 let set (e : entry) unboxing l =
   if unboxing then e.on_ <- Some l else e.off_ <- Some l
-
-(* Loader priming: install artifact-decoded bytecode so [eval_top]
-   skips lowering entirely on warm runs. *)
-let prime (a : Ast.t) ~unboxing (c : Il.code) =
-  set (entry_of a) unboxing (LCode c);
-  Metrics.count "vm.loads"
-
-(* A decoded artifact records which forms fell back at lower time; keep
-   the warm path's behavior (and lower-phase timing ≈ 0) identical. *)
-let prime_fallback (a : Ast.t) ~unboxing =
-  set (entry_of a) unboxing LInterp
 
 let eval_top (a : Ast.t) : value =
   let unboxing = !Interp.unboxing_enabled in

@@ -28,12 +28,10 @@ module Stx = Liblang_stx.Stx
 (** Bump whenever the serialized shape (or the meaning of the core forms)
     changes; artifacts written by any other version are ignored.
     v2: integrity trailer appended (see {!verify_integrity}).
-    v3: optional [(bytecode ...)] section — the backend's lowered code
-    for the body forms, covered by the integrity trailer like
-    everything else.  Absent when the compiling session lowered
-    nothing; a v2 artifact (no such section possible) is version skew
-    and degrades to a recompile. *)
-let format_version = 3
+    v3: an optional third section of serialized VM code.
+    v4: that section is gone (the VM lowers in memory); a v3 artifact is
+    version skew and degrades to a recompile. *)
+let format_version = 4
 
 (** The magic header line; doubles as a human hint not to edit the file. *)
 let magic = ";; liblang compiled artifact (machine-generated; do not edit)"
@@ -66,12 +64,6 @@ type t = {
           name through the require; these cannot, so the loader re-links
           them explicitly via {!Liblang_modules.Modsys.find_internal}. *)
   core_forms : Datum.annot list;  (** fully-expanded module body *)
-  bytecode : Datum.annot option;
-      (** the backend's serialized lowering of the body's runnable forms
-          (see {!Liblang_backend.Lower.code_to_datum}); [None] when the
-          writer had none.  Purely an acceleration: the loader primes
-          the VM's code cache from it, and any inconsistency degrades to
-          lowering afresh. *)
 }
 
 (** Why a stored artifact cannot be used (each degrades to a recompile). *)
@@ -136,18 +128,13 @@ let to_string (a : t) : string =
       Buffer.add_char buf '\n')
     a.core_forms;
   Buffer.add_string buf ")\n";
-  (match a.bytecode with
-  | None -> ()
-  | Some bc ->
-      Buffer.add_string buf (Datum.to_string bc.Datum.d);
-      Buffer.add_char buf '\n');
   let body_text = Buffer.contents buf in
   body_text ^ integrity_marker ^ Digest_util.of_string body_text ^ "\n"
 
 (** Build the artifact for a compiled module from its expanded core forms
     (syntax is flattened to datums; scopes are per-session and are
     reconstructed by the loader). *)
-let of_compiled ?bytecode ~mod_name ~lang ~source_digest ~requires ~exports ~links
+let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links
     ~(core_forms : Stx.t list) () : t =
   {
     version = format_version;
@@ -158,7 +145,6 @@ let of_compiled ?bytecode ~mod_name ~lang ~source_digest ~requires ~exports ~lin
     exports;
     links;
     core_forms = List.map Stx.to_annot core_forms;
-    bytecode;
   }
 
 (* -- integrity -------------------------------------------------------------- *)
@@ -204,92 +190,89 @@ let parse_require (a : Datum.annot) : require_ref =
   | _ -> bad "bad require entry"
 
 (** Parse artifact text.  [Error] carries the reason the artifact cannot
-    be used; version skew is detected before the rest of the header so a
-    future format change never surfaces as "corrupt". *)
+    be used.  The version is read from the header before anything else
+    is checked — the body's shape included — so an artifact of another
+    format version (e.g. a v3 one, with its third section) is
+    version skew, never "corrupt". *)
 let of_string (text : string) : (t, invalid) result =
   match Reader.read_all ~file:"<artifact>" text with
   | exception Reader.Error (m, _) -> Error (Corrupt m)
   | datums -> (
       try
-        (* the bytecode section is optional; peel it off so the 2-datum
-           core shape below stays the only required structure *)
-        let datums, bytecode =
+        let header, sections =
           match datums with
-          | [ h; b; bc ] -> (
-              match bc.Datum.d with
-              | Datum.List (k :: _) when Datum.is_sym "bytecode" k ->
-                  ([ h; b ], Some bc)
-              | _ -> (datums, None))
-          | _ -> (datums, None)
+          | h :: rest -> (h, rest)
+          | [] -> bad "expected a header and a body (truncated?)"
         in
-        match datums with
-        | [ header; body ] -> (
-            let fields =
-              match header.Datum.d with
-              | Datum.List (h :: fields) when Datum.is_sym "liblang-artifact" h -> fields
-              | _ -> bad "not a liblang-artifact"
-            in
-            let field name =
-              List.find_opt
-                (fun (f : Datum.annot) ->
-                  match f.Datum.d with
-                  | Datum.List (k :: _) -> Datum.is_sym name k
-                  | _ -> false)
-                fields
-            in
-            let field_exn name =
-              match field name with Some f -> f | None -> bad "missing field %s" name
-            in
-            let version =
-              match (field_exn "version").Datum.d with
-              | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
-              | _ -> bad "bad version field"
-            in
-            if version <> format_version then Error (Version_skew version)
-            else
-              let str_field name =
-                match (field_exn name).Datum.d with
-                | Datum.List [ _; v ] -> expect_str name v
-                | _ -> bad "bad field %s" name
-              in
-              let requires =
-                match (field_exn "requires").Datum.d with
-                | Datum.List (_ :: rs) -> List.map parse_require rs
-                | _ -> bad "bad requires field"
-              in
-              let exports =
-                match (field_exn "exports").Datum.d with
-                | Datum.List (_ :: es) -> List.map (expect_str "export") es
-                | _ -> bad "bad exports field"
-              in
-              let links =
-                match (field_exn "links").Datum.d with
-                | Datum.List (_ :: ls) ->
-                    List.map
-                      (fun (l : Datum.annot) ->
-                        match l.Datum.d with
-                        | Datum.List [ n; k ] ->
-                            (expect_str "link name" n, expect_str "link module" k)
-                        | _ -> bad "bad link entry")
-                      ls
-                | _ -> bad "bad links field"
-              in
-              let core_forms =
-                match body.Datum.d with
-                | Datum.List (h :: forms) when Datum.is_sym "body" h -> forms
-                | _ -> bad "missing body section"
-              in
-              Ok
-                {
-                  version;
-                  mod_name = str_field "module";
-                  lang = str_field "lang";
-                  source_digest = str_field "source-digest";
-                  requires;
-                  exports;
-                  links;
-                  core_forms;
-                  bytecode;
-                })
-        | _ -> bad "expected a header and a body (truncated?)"
+        let fields =
+          match header.Datum.d with
+          | Datum.List (h :: fields) when Datum.is_sym "liblang-artifact" h -> fields
+          | _ -> bad "not a liblang-artifact"
+        in
+        let field name =
+          List.find_opt
+            (fun (f : Datum.annot) ->
+              match f.Datum.d with
+              | Datum.List (k :: _) -> Datum.is_sym name k
+              | _ -> false)
+            fields
+        in
+        let field_exn name =
+          match field name with Some f -> f | None -> bad "missing field %s" name
+        in
+        let version =
+          match (field_exn "version").Datum.d with
+          | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
+          | _ -> bad "bad version field"
+        in
+        if version <> format_version then Error (Version_skew version)
+        else
+          let body =
+            match sections with
+            | [ body ] -> body
+            | _ -> bad "expected a header and a body (truncated?)"
+          in
+          let str_field name =
+            match (field_exn name).Datum.d with
+            | Datum.List [ _; v ] -> expect_str name v
+            | _ -> bad "bad field %s" name
+          in
+          let requires =
+            match (field_exn "requires").Datum.d with
+            | Datum.List (_ :: rs) -> List.map parse_require rs
+            | _ -> bad "bad requires field"
+          in
+          let exports =
+            match (field_exn "exports").Datum.d with
+            | Datum.List (_ :: es) -> List.map (expect_str "export") es
+            | _ -> bad "bad exports field"
+          in
+          let links =
+            match (field_exn "links").Datum.d with
+            | Datum.List (_ :: ls) ->
+                List.map
+                  (fun (l : Datum.annot) ->
+                    match l.Datum.d with
+                    | Datum.List [ n; k ] ->
+                        (expect_str "link name" n, expect_str "link module" k)
+                    | _ -> bad "bad link entry")
+                  ls
+            | _ -> bad "bad links field"
+          in
+          let core_forms =
+            match body.Datum.d with
+            | Datum.List (h :: forms) when Datum.is_sym "body" h -> forms
+            | _ -> bad "missing body section"
+          in
+          Ok
+            {
+              version;
+              mod_name = str_field "module";
+              lang = str_field "lang";
+              source_digest = str_field "source-digest";
+              requires;
+              exports;
+              links;
+              core_forms;
+            }
       with Bad m -> Error (Corrupt m))

@@ -23,11 +23,9 @@
 module Modsys = Liblang_modules.Modsys
 module Stx = Liblang_stx.Stx
 module Srcloc = Liblang_reader.Srcloc
-module Datum = Liblang_reader.Datum
 module Sources = Liblang_diagnostics.Sources
 module Metrics = Liblang_observe.Metrics
 module Trace = Liblang_observe.Trace
-module Lower = Liblang_backend.Lower
 
 (* -- path canonicalization --------------------------------------------------- *)
 
@@ -393,43 +391,6 @@ let compute_links (m : Liblang_modules.Modsys.t) (core_forms : Stx.t list) :
   List.iter walk core_forms;
   List.rev !links
 
-(* Lower each runnable body form (by its position in [m.body] — the
-   loader's pass B rebuilds the same sequence) and serialize the result
-   into the artifact's [(bytecode ...)] section.  Forms the backend
-   cannot express serialize as [interp] so warm sessions also skip
-   re-attempting the lowering.  The unboxing flag is recorded because
-   lowering decisions depend on it. *)
-let bytecode_section (m : Modsys.t) : Datum.annot option =
-  let unboxing = !Liblang_runtime.Interp.unboxing_enabled in
-  let entries =
-    Metrics.time "phase.lower" @@ fun () ->
-    List.mapi
-      (fun i (f : Modsys.compiled_form) ->
-        let ast =
-          match f with
-          | Modsys.CExpr a | Modsys.CDef (_, a) -> Some a
-          | Modsys.CLazy _ -> None
-        in
-        match ast with
-        | None -> None
-        | Some a ->
-            Some
-              (match Lower.lower_form ~unboxing a with
-              | Some code ->
-                  Datum.list
-                    [ Datum.sym "form"; Datum.int i; Lower.code_to_datum code ]
-              | None -> Datum.list [ Datum.sym "form"; Datum.int i; Datum.sym "interp" ]))
-      m.Modsys.body
-    |> List.filter_map Fun.id
-  in
-  if entries = [] then None
-  else
-    Some
-      (Datum.list
-         (Datum.sym "bytecode"
-         :: Datum.list [ Datum.sym "unboxing"; Datum.bool unboxing ]
-         :: entries))
-
 (** The [Modsys.compiled_hook]: persist an artifact for every successful
     file-module compilation while a store is active.  A module is only
     cacheable when each of its requires is a builtin or itself has a
@@ -460,7 +421,7 @@ let on_compiled (m : Modsys.t) ~(lang : string) ~(core_forms : Stx.t list) : uni
             ~requires:(List.filter_map Fun.id require_refs)
             ~exports:(List.map (fun e -> e.Modsys.ext_name) m.Modsys.exports)
             ~links:(compute_links m core_forms)
-            ?bytecode:(bytecode_section m) ~core_forms ()
+            ~core_forms ()
         in
         Store.write store a
 

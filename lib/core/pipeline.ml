@@ -44,14 +44,7 @@ let default_compile_fuel = 10_000_000
     per-form fallback to the interpreter — see docs/backend.md).  The
     two are observably identical; [Vm] exists for speed and for the
     differential gate that proves the equivalence. *)
-type engine = Interp | Vm
-
-let engine_of_string = function
-  | "interp" -> Some Interp
-  | "vm" -> Some Vm
-  | _ -> None
-
-let engine_to_string = function Interp -> "interp" | Vm -> "vm"
+type engine = Core.Vm.Engine.t = Interp | Vm
 
 (** Run [f] with the chosen engine installed as the module system's
     evaluator (restored after — the setting is per-entry-point, not

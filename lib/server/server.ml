@@ -583,7 +583,7 @@ let status_response (srv : t) (env : P.envelope) : Json.t =
               ("uptime_ms", Json.Num (1000.0 *. (now -. srv.started)));
               ("socket", Json.Str srv.cfg.socket_path);
               ("cache_dir", Json.Str srv.cfg.cache_dir);
-              ("engine", Json.Str (Pipeline.engine_to_string srv.cfg.engine));
+              ("engine", Json.Str (Core.Vm.Engine.to_string srv.cfg.engine));
               ("workers", num workers);
               ("queue_depth", num depth);
               ("active_sessions", num (List.length srv.conns));

@@ -17,6 +17,7 @@ module Modsys = Core.Modsys
 module Prims = Core.Prims
 module Metrics = Core.Metrics
 module Observe = Core.Observe
+module Pipeline = Liblang_core.Pipeline
 
 (* -- temp project dirs -------------------------------------------------------- *)
 
@@ -162,6 +163,32 @@ let dependent_invalidation_exact () =
   check_i "steady state: no compiles" 0 (compiles c2);
   check_i "steady state: all hits" 3 (hits c2)
 
+(* A warm [--engine vm] run replays the artifact like any warm run, then
+   lowers the forms it executes in this process: artifacts carry core
+   forms only, and the VM's code cache lives in memory. *)
+let vm_over_warm_store () =
+  let dir = fresh_dir () in
+  let cache = Filename.concat dir "cache" in
+  let src = Filename.concat dir "flloop.scm" in
+  write_file src
+    "#lang typed/racket\n\
+     (: run (Float -> Float))\n\
+     (define (run n)\n\
+    \  (let loop : Float ([i : Float 0.0] [s : Float 0.0])\n\
+    \    (if (< i n) (loop (+ i 1.0) (+ s i)) s)))\n\
+     (display (run 1000.0))\n";
+  let expected = run_file src in
+  Compiled.reset_session ();
+  Compiled.with_cache_dir cache (fun () -> ignore (Compiled.compile_file src));
+  let art = read_file (artifact_file ~cache (Compiled.Resolver.module_key src)) in
+  check_b "artifact has no bytecode section" false
+    (List.exists (String.starts_with ~prefix:"(bytecode") (String.split_on_char '\n' art));
+  let warm, c = Pipeline.with_engine Pipeline.Vm (fun () -> run_measured ~cache src) in
+  check_s "warm vm output = uncached interp output" expected warm;
+  check_i "warm vm run compiles nothing" 0 (compiles c);
+  check_b "the VM lowered in-process" true (Metrics.get_ms c "phase.lower" > 0.0);
+  check_b "the VM ran lowered code" true (Metrics.get c "vm.instructions" > 0)
+
 (* -- robustness: unusable artifacts degrade to recompiles ---------------------- *)
 
 (** Cold-compile a one-module project, mutate something ([mutate ~src
@@ -205,7 +232,11 @@ let replace_first hay needle repl =
 
 let t_version_skew = robustness "format version skew" (fun ~src:_ ~art ->
     let text = read_file art in
-    let skewed = replace_first text "(version 3)" "(version 999)" in
+    let skewed =
+      replace_first text
+        (Printf.sprintf "(version %d)" Compiled.Artifact.format_version)
+        "(version 999)"
+    in
     check_b "artifact records its version" true (text <> skewed);
     write_file art skewed)
 
@@ -219,56 +250,27 @@ let strip_trailer text =
    under test is structural, not damage). *)
 let with_trailer body = body ^ ";; integrity: " ^ Compiled.Digest_util.of_string body ^ "\n"
 
-let t_v2_no_bytecode =
-  robustness "v2 artifact (no bytecode section)" (fun ~src:_ ~art ->
-      (* regress a real v3 artifact to the v2 shape: drop the (bytecode
-         ...) section, regress the version marker, and recompute the
-         trailer so it is a well-formed v2 artifact rather than a corrupt
-         v3 one.  The warm run must see version skew — never an error,
-         never a bytecode-less replay of the v3 format *)
-      let text = read_file art in
-      check_b "v3 artifact carries a bytecode section" true
-        (List.exists (String.starts_with ~prefix:"(bytecode ") (String.split_on_char '\n' text));
+let t_v3_version_skew =
+  robustness "v3 artifact reads as version skew" (fun ~src:_ ~art ->
+      (* regress a real artifact to the v3 shape: a third (bytecode ...)
+         section after the body, the v3 version marker, and a recomputed
+         trailer, so it is a well-formed v3 artifact rather than a damaged
+         current one.  It must parse as version skew — never as corrupt,
+         which would count towards quarantine — and the warm run must
+         recompile *)
       let body =
-        strip_trailer text |> String.split_on_char '\n'
-        |> List.filter (fun l -> not (String.starts_with ~prefix:"(bytecode " l))
-        |> String.concat "\n"
+        replace_first (strip_trailer (read_file art))
+          (Printf.sprintf "(version %d)" Compiled.Artifact.format_version)
+          "(version 3)"
       in
-      let body = replace_first body "(version 3)" "(version 2)" in
-      write_file art (with_trailer body))
-
-let t_bad_bytecode_trailer =
-  robustness "damaged bytecode section caught by integrity trailer" (fun ~src:_ ~art ->
-      (* flip one opcode digit inside the (bytecode ...) section only —
-         header and core forms untouched, trailer left stale.  The
-         integrity check must reject the artifact before the VM ever
-         decodes the damaged code *)
-      let text = read_file art in
-      let damaged =
-        String.split_on_char '\n' text
-        |> List.map (fun l ->
-               if String.starts_with ~prefix:"(bytecode " l then begin
-                 let b = Bytes.of_string l in
-                 (* mutate the first digit after the section head *)
-                 let rec go i =
-                   if i >= Bytes.length b then failwith "no digit in bytecode section"
-                   else
-                     match Bytes.get b i with
-                     | '0' .. '8' as c ->
-                         Bytes.set b i (Char.chr (Char.code c + 1));
-                         Bytes.to_string b
-                     | '9' ->
-                         Bytes.set b i '8';
-                         Bytes.to_string b
-                     | _ -> go (i + 1)
-                 in
-                 go (String.length "(bytecode ")
-               end
-               else l)
-        |> String.concat "\n"
-      in
-      check_b "bytecode section present and mutated" true (text <> damaged);
-      write_file art damaged)
+      let v3 = with_trailer (body ^ "(bytecode (unboxing #t))\n") in
+      (match Compiled.Artifact.of_string v3 with
+      | Error (Compiled.Artifact.Version_skew 3) -> ()
+      | Error r ->
+          Alcotest.failf "v3 artifact: expected version skew, got %s"
+            (Compiled.Artifact.invalid_to_string r)
+      | Ok _ -> Alcotest.fail "v3 artifact: expected version skew, parsed");
+      write_file art v3)
 
 let t_stale_source = robustness "stale source" (fun ~src ~art:_ ->
     write_file src "#lang racket\n(define (sq x) (* x x))\n(display (sq 9))\n;; edited\n")
@@ -748,11 +750,11 @@ let suite =
     t "canonicalization: one key per file" canonicalization_one_key_per_file;
     t "warm run: zero compiles, all hits" warm_run_zero_compiles;
     t "invalidation: exactly the dependents" dependent_invalidation_exact;
+    t "warm run: vm lowers in-process" vm_over_warm_store;
     t_corrupt;
     t_truncated;
     t_version_skew;
-    t_v2_no_bytecode;
-    t_bad_bytecode_trailer;
+    t_v3_version_skew;
     t_stale_source;
     t "stale transitive require" stale_transitive_require;
     t "§5 replay: types from artifact" replay_types_from_artifact;

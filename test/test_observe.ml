@@ -154,6 +154,38 @@ let profile_json_roundtrip () =
       let n = num (mem "expand.macro.twice" (mem "counters" j)) in
       check_i "round-tripped counter" 2 (int_of_float n)
 
+(* The built CLI keeps the JSON profile off stdout: a program that prints
+   with no trailing newline must leave stdout exactly its own output, and
+   stderr must be one parseable JSON object. *)
+let cli_profile_json_on_stderr () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/liblang.exe"
+  in
+  let prog = Filename.temp_file "liblang-profile" ".scm" in
+  let out = Filename.temp_file "liblang-profile" ".out" in
+  let err = Filename.temp_file "liblang-profile" ".err" in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  write prog "#lang racket\n(display 84)\n";
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let out_fd = fd out and err_fd = fd err in
+  let pid =
+    Unix.create_process exe
+      [| exe; "run"; "--profile=json"; prog |]
+      Unix.stdin out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  check_b "liblang run exits 0" true (status = Unix.WEXITED 0);
+  check_s "stdout is the program's output alone" "84" (read out);
+  (match Json.parse (read err) with
+  | Ok j -> check_b "stderr profile has counters" true (mem "counters" j <> Json.Null)
+  | Error m -> Alcotest.failf "stderr profile does not parse: %s" m);
+  List.iter Sys.remove [ prog; out; err ]
+
 let json_parser_basics () =
   let cases =
     [
@@ -288,6 +320,7 @@ let suite =
     Alcotest.test_case "resolver cache exercised by shadowing" `Quick resolver_cache_exercised;
     Alcotest.test_case "0CFA call sites become direct calls" `Quick cfa_facts_consumed;
     Alcotest.test_case "profile JSON round-trips" `Quick profile_json_roundtrip;
+    Alcotest.test_case "CLI --profile=json goes to stderr" `Quick cli_profile_json_on_stderr;
     Alcotest.test_case "JSON parser basics" `Quick json_parser_basics;
     Alcotest.test_case "NDJSON trace is well-formed" `Quick ndjson_trace_shape;
     Alcotest.test_case "hooks allocate nothing when off" `Quick off_means_no_allocation;

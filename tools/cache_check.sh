@@ -17,8 +17,8 @@
 #     without the cache, with matching exit codes;
 #   engine vm: every example again under run --engine vm, cached and
 #     uncached -- both must match the interpreter's uncached output
-#     byte-for-byte (the cached leg warm-loads the artifact's v3
-#     bytecode section; docs/backend.md).
+#     byte-for-byte (the cached leg replays the artifact's core forms
+#     and the VM lowers them in-process; docs/backend.md).
 #
 # Usage: tools/cache_check.sh [path/to/liblang.exe]   (from the repo root;
 # the script cd's there itself when invoked from elsewhere)
@@ -130,8 +130,8 @@ for f in examples/scm/*.scm; do
     bad "$f: cached run output diverges from uncached"
   fi
   # engine parity through the same store: the VM must agree with the
-  # interpreter uncached, and warm-loading the artifact's bytecode
-  # section must not change a byte either.
+  # interpreter uncached, and running it over the replayed artifact
+  # must not change a byte either.
   vm=$($RUN "$LIBLANG" run --engine vm "$f" 2>/dev/null)
   vc=$?
   vmc=$($RUN "$LIBLANG" run --engine vm --cache-dir "$CACHE" "$f" 2>/dev/null)
