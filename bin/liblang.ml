@@ -367,6 +367,12 @@ let analyze_via_server conn paths =
       if code <> 0 then exit code)
     paths
 
+(* The per-file [compiled FILE: modules=N hits=H compiles=C stale=S
+   misses=M] line ([Compiled.summary]). *)
+let print_summary path (fields : (string * int) list) =
+  Printf.printf "compiled %s: %s\n" path
+    (String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) fields))
+
 (* [compile] through a server connection: the same per-file summary line
    as the local command, built from the response's [summary] object. *)
 let compile_via_server conn ~jobs paths =
@@ -375,9 +381,10 @@ let compile_via_server conn ~jobs paths =
     (fun path ->
       match Client.request conn (Sproto.Compile { path = abs_path path; jobs }) with
       | Ok j when Client.ok_of j ->
-          let s = Client.summary_count j in
-          Printf.printf "compiled %s: modules=%d hits=%d compiles=%d stale=%d misses=%d\n"
-            path (s "modules") (s "hits") (s "compiles") (s "stale") (s "misses")
+          print_summary path
+            (List.map
+               (fun k -> (k, Client.summary_count j k))
+               [ "modules"; "hits"; "compiles"; "stale"; "misses" ])
       | r -> worst := max !worst (print_response ~print_output:false r))
     paths;
   if !worst > 0 then exit !worst
@@ -432,13 +439,7 @@ let cmd_compile args =
       let c = Metrics.create () in
       let observe = { Observe.metrics = Some c; trace } in
       (match Pipeline.compile_file ?fuel:o.fuel ~cache_dir ?jobs:o.jobs ~observe path with
-      | Ok () ->
-          let g = Metrics.get c in
-          Printf.printf "compiled %s: modules=%d hits=%d compiles=%d stale=%d misses=%d\n"
-            path
-            (g "module.compiles" + g "module.cache_hits")
-            (g "module.cache_hits") (g "module.compiles") (g "cache.stale")
-            (g "cache.misses")
+      | Ok () -> print_summary path (Liblang_core.Core.Compiled.summary (Metrics.get c))
       | Error ds -> worst := max !worst (report ds));
       match profile_c with Some into -> Metrics.merge ~into c | None -> ())
     o.paths;

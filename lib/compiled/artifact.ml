@@ -48,7 +48,11 @@ type require_ref =
   | File of string * string
       (** a file module: canonical key and the digest of its artifact *)
 
-type t = {
+(** Everything an artifact records {e about} its module: what the
+    up-to-date check needs ([version], [source_digest], [requires]) and
+    what replay needs besides the body.  It is the first datum of the
+    file, so {!header_of_string} reads it without parsing the body. *)
+type header = {
   version : int;
   mod_name : string;  (** canonical module key (absolute path) *)
   lang : string;
@@ -63,6 +67,10 @@ type t = {
           (§6.2) splices into untyped clients.  Exported names rebind by
           name through the require; these cannot, so the loader re-links
           them explicitly via {!Liblang_modules.Modsys.find_internal}. *)
+}
+
+type t = {
+  header : header;
   core_forms : Datum.annot list;  (** fully-expanded module body *)
 }
 
@@ -99,7 +107,7 @@ let datum_of_require = function
   | File (key, digest) -> dlist [ sym "file"; str key; str digest ]
 
 (** Render an artifact to its on-disk text. *)
-let to_string (a : t) : string =
+let to_string ({ header = h; core_forms } : t) : string =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
@@ -107,15 +115,15 @@ let to_string (a : t) : string =
     dlist
       [
         sym "liblang-artifact";
-        dlist [ sym "version"; Datum.int a.version ];
-        dlist [ sym "module"; str a.mod_name ];
-        dlist [ sym "lang"; str a.lang ];
-        dlist [ sym "source-digest"; str a.source_digest ];
-        dlist (sym "requires" :: List.map datum_of_require a.requires);
-        dlist (sym "exports" :: List.map str a.exports);
+        dlist [ sym "version"; Datum.int h.version ];
+        dlist [ sym "module"; str h.mod_name ];
+        dlist [ sym "lang"; str h.lang ];
+        dlist [ sym "source-digest"; str h.source_digest ];
+        dlist (sym "requires" :: List.map datum_of_require h.requires);
+        dlist (sym "exports" :: List.map str h.exports);
         dlist
           (sym "links"
-          :: List.map (fun (n, k) -> dlist [ str n; str k ]) a.links);
+          :: List.map (fun (n, k) -> dlist [ str n; str k ]) h.links);
       ]
   in
   Buffer.add_string buf (Datum.to_string header.Datum.d);
@@ -126,7 +134,7 @@ let to_string (a : t) : string =
       Buffer.add_char buf ' ';
       Buffer.add_string buf (Datum.to_string f.Datum.d);
       Buffer.add_char buf '\n')
-    a.core_forms;
+    core_forms;
   Buffer.add_string buf ")\n";
   let body_text = Buffer.contents buf in
   body_text ^ integrity_marker ^ Digest_util.of_string body_text ^ "\n"
@@ -137,13 +145,7 @@ let to_string (a : t) : string =
 let of_compiled ~mod_name ~lang ~source_digest ~requires ~exports ~links
     ~(core_forms : Stx.t list) () : t =
   {
-    version = format_version;
-    mod_name;
-    lang;
-    source_digest;
-    requires;
-    exports;
-    links;
+    header = { version = format_version; mod_name; lang; source_digest; requires; exports; links };
     core_forms = List.map Stx.to_annot core_forms;
   }
 
@@ -189,90 +191,82 @@ let parse_require (a : Datum.annot) : require_ref =
       File (expect_str "require" n, expect_str "require digest" d)
   | _ -> bad "bad require entry"
 
+(* The header datum's fields.  The version is read before anything else
+   is checked, so a header of another format version is [Version_skew],
+   whatever else it holds. *)
+let parse_header (d : Datum.annot) : (header, invalid) result =
+  try
+    let fields =
+      match d.Datum.d with
+      | Datum.List (h :: fields) when Datum.is_sym "liblang-artifact" h -> fields
+      | _ -> bad "not a liblang-artifact"
+    in
+    let field_exn name =
+      match
+        List.find_opt
+          (fun (f : Datum.annot) ->
+            match f.Datum.d with Datum.List (k :: _) -> Datum.is_sym name k | _ -> false)
+          fields
+      with
+      | Some f -> f
+      | None -> bad "missing field %s" name
+    in
+    let version =
+      match (field_exn "version").Datum.d with
+      | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
+      | _ -> bad "bad version field"
+    in
+    if version <> format_version then Error (Version_skew version)
+    else
+      let str_field name =
+        match (field_exn name).Datum.d with
+        | Datum.List [ _; v ] -> expect_str name v
+        | _ -> bad "bad field %s" name
+      in
+      let entries name parse =
+        match (field_exn name).Datum.d with
+        | Datum.List (_ :: xs) -> List.map parse xs
+        | _ -> bad "bad %s field" name
+      in
+      let link (l : Datum.annot) =
+        match l.Datum.d with
+        | Datum.List [ n; k ] -> (expect_str "link name" n, expect_str "link module" k)
+        | _ -> bad "bad link entry"
+      in
+      Ok
+        {
+          version;
+          mod_name = str_field "module";
+          lang = str_field "lang";
+          source_digest = str_field "source-digest";
+          requires = entries "requires" parse_require;
+          exports = entries "exports" (expect_str "export");
+          links = entries "links" link;
+        }
+  with Bad m -> Error (Corrupt m)
+
+(** Parse only the header of artifact text — the first datum; the body
+    is never read.  This is all the up-to-date check needs. *)
+let header_of_string (text : string) : (header, invalid) result =
+  match Reader.read_one ~file:"<artifact>" text with
+  | exception Reader.Error (m, _) -> Error (Corrupt m)
+  | None -> Error (Corrupt "expected a header and a body (truncated?)")
+  | Some d -> parse_header d
+
 (** Parse artifact text.  [Error] carries the reason the artifact cannot
-    be used.  The version is read from the header before anything else
-    is checked — the body's shape included — so an artifact of another
-    format version (e.g. a v3 one, with its third section) is
-    version skew, never "corrupt". *)
+    be used.  The header is parsed first ({!parse_header}), so an
+    artifact of another format version (e.g. a v3 one, with its third
+    section) is version skew, never "corrupt". *)
 let of_string (text : string) : (t, invalid) result =
   match Reader.read_all ~file:"<artifact>" text with
   | exception Reader.Error (m, _) -> Error (Corrupt m)
-  | datums -> (
-      try
-        let header, sections =
-          match datums with
-          | h :: rest -> (h, rest)
-          | [] -> bad "expected a header and a body (truncated?)"
-        in
-        let fields =
-          match header.Datum.d with
-          | Datum.List (h :: fields) when Datum.is_sym "liblang-artifact" h -> fields
-          | _ -> bad "not a liblang-artifact"
-        in
-        let field name =
-          List.find_opt
-            (fun (f : Datum.annot) ->
-              match f.Datum.d with
-              | Datum.List (k :: _) -> Datum.is_sym name k
-              | _ -> false)
-            fields
-        in
-        let field_exn name =
-          match field name with Some f -> f | None -> bad "missing field %s" name
-        in
-        let version =
-          match (field_exn "version").Datum.d with
-          | Datum.List [ _; { d = Datum.Atom (Datum.Int v); _ } ] -> v
-          | _ -> bad "bad version field"
-        in
-        if version <> format_version then Error (Version_skew version)
-        else
-          let body =
-            match sections with
-            | [ body ] -> body
-            | _ -> bad "expected a header and a body (truncated?)"
-          in
-          let str_field name =
-            match (field_exn name).Datum.d with
-            | Datum.List [ _; v ] -> expect_str name v
-            | _ -> bad "bad field %s" name
-          in
-          let requires =
-            match (field_exn "requires").Datum.d with
-            | Datum.List (_ :: rs) -> List.map parse_require rs
-            | _ -> bad "bad requires field"
-          in
-          let exports =
-            match (field_exn "exports").Datum.d with
-            | Datum.List (_ :: es) -> List.map (expect_str "export") es
-            | _ -> bad "bad exports field"
-          in
-          let links =
-            match (field_exn "links").Datum.d with
-            | Datum.List (_ :: ls) ->
-                List.map
-                  (fun (l : Datum.annot) ->
-                    match l.Datum.d with
-                    | Datum.List [ n; k ] ->
-                        (expect_str "link name" n, expect_str "link module" k)
-                    | _ -> bad "bad link entry")
-                  ls
-            | _ -> bad "bad links field"
-          in
-          let core_forms =
-            match body.Datum.d with
-            | Datum.List (h :: forms) when Datum.is_sym "body" h -> forms
-            | _ -> bad "missing body section"
-          in
-          Ok
-            {
-              version;
-              mod_name = str_field "module";
-              lang = str_field "lang";
-              source_digest = str_field "source-digest";
-              requires;
-              exports;
-              links;
-              core_forms;
-            }
-      with Bad m -> Error (Corrupt m))
+  | [] -> Error (Corrupt "expected a header and a body (truncated?)")
+  | h :: sections -> (
+      match parse_header h with
+      | Error _ as e -> e
+      | Ok header -> (
+          match sections with
+          | [ { Datum.d = Datum.List (b :: core_forms); _ } ] when Datum.is_sym "body" b ->
+              Ok { header; core_forms }
+          | [ _ ] -> Error (Corrupt "missing body section")
+          | _ -> Error (Corrupt "expected a header and a body (truncated?)")))

@@ -14,9 +14,14 @@
       resolver would.
     + {e schedule}: modules are topologically scheduled by in-degree
       countdown onto [jobs] domains; no task starts before all its
-      scanned requires are done, so workers find their dependencies'
-      artifacts warm and replay them ([module.cache_hits]) instead of
-      recompiling.
+      scanned requires are done.
+    + {e check}: each task first decides from the artifact digest chain
+      whether its module is up to date ({!Resolver.check_key}, memoized
+      for the build and shared by its workers) — a hit, with nothing
+      replayed.  Only a module that is not falls back to the resolver,
+      which compiles it, replaying the artifacts of its requires
+      ([module.cache_hits]): a worker replays a dependency only to
+      compile a dependent.
     + {e contain}: each task runs under its own {!Reporter}; a failing
       task records its diagnostics and {e poisons} its dependents (they
       are skipped with a note rather than racing into the same failure).
@@ -30,8 +35,7 @@
     [-j 1] build (test: [test_compiled.ml], "parallel determinism").
 
     [jobs = 1] never spawns and never takes a lock: tasks run serially on
-    the calling domain in topological order, which is exactly the serial
-    resolver's behavior. *)
+    the calling domain in topological order. *)
 
 module Modsys = Liblang_modules.Modsys
 module Binding = Liblang_stx.Binding
@@ -119,7 +123,7 @@ let scan_graph (roots : string list) : node list =
 (* -- results ------------------------------------------------------------------ *)
 
 type outcome =
-  | Built  (** compiled from source or loaded from a valid artifact *)
+  | Built  (** found up to date, or compiled from source *)
   | Failed of Diagnostic.t list
   | Skipped of string  (** a scanned require failed; carries its key *)
 
@@ -163,21 +167,30 @@ let transient_exn = function
   | Fault.Injected _ | Sys_error _ | Unix.Unix_error _ -> true
   | _ -> false
 
-(* One attempt at a task on the calling domain: acquire the module through
-   the resolver (so through the store) under a wall-clock [deadline],
-   containing failures as diagnostics.  Returns the outcome plus whether a
-   failure was transient (retryable). *)
-let run_task_once ~(diagnostic_of_exn : exn -> Diagnostic.t option) ~(deadline : float)
+(* Acquire one module for the build: decide from the artifact digest
+   chain alone whether it is up to date ({!Resolver.check_key}, memoized
+   across the build) and only when it is not, fall back to the resolver —
+   which compiles it, replaying whatever it requires. *)
+let acquire ~(memo : Resolver.memo) (key : string) : unit =
+  Resolver.with_memo memo @@ fun () ->
+  match Store.active () with
+  | Some store when Result.is_ok (Resolver.check_key store key) -> Store.count_hit ()
+  | _ -> ignore (Resolver.require_key key)
+
+(* One attempt at a task on the calling domain: acquire the module under a
+   wall-clock [deadline], containing failures as diagnostics.  Returns the
+   outcome plus whether a failure was transient (retryable). *)
+let run_task_once ~(diagnostic_of_exn : exn -> Diagnostic.t option) ~(deadline : float) ~memo
     (t : task) : outcome * bool =
   let reporter = Reporter.create () in
   match
     Reporter.with_reporter reporter (fun () ->
         Fault.with_deadline ~seconds:deadline (fun () ->
             Fault.check "build.task";
-            Resolver.require_key t.node.key))
+            acquire ~memo t.node.key))
   with
-  | _m when not (Reporter.has_errors reporter) -> (Built, false)
-  | _m -> (Failed (Reporter.diagnostics reporter), false)
+  | () when not (Reporter.has_errors reporter) -> (Built, false)
+  | () -> (Failed (Reporter.diagnostics reporter), false)
   | exception Diagnostic.Failed ds -> (Failed (Reporter.diagnostics reporter @ ds), false)
   | exception Fault.Timeout budget ->
       Atomic.incr Parallel.timeouts;
@@ -201,10 +214,10 @@ let run_task_once ~(diagnostic_of_exn : exn -> Diagnostic.t option) ~(deadline :
    task still fails fast. *)
 let max_task_attempts = 3
 
-let run_task ~diagnostic_of_exn ~deadline (t : task) : outcome =
+let run_task ~diagnostic_of_exn ~deadline ~memo (t : task) : outcome =
   Atomic.incr Parallel.tasks;
   let rec attempt n =
-    let o, transient = run_task_once ~diagnostic_of_exn ~deadline t in
+    let o, transient = run_task_once ~diagnostic_of_exn ~deadline ~memo t in
     if transient && n + 1 < max_task_attempts then begin
       Atomic.incr Parallel.retries;
       Unix.sleepf (Float.min 0.05 (0.002 *. (4.0 ** float_of_int n)));
@@ -260,11 +273,11 @@ let link_tasks (graph : node list) : task list =
     tasks;
   tasks
 
-(* Serial fallback: topological order on one domain, no locks, no spawns —
-   bit-for-bit the serial resolver's behavior.  A cycle in the scanned
-   graph leaves tasks with positive in-degree; they are force-run so the
-   resolver reports the cycle as a proper diagnostic. *)
-let run_serial ~diagnostic_of_exn ~deadline (tasks : task list) : unit =
+(* Serial fallback: topological order on one domain, no locks, no spawns.
+   A cycle in the scanned graph leaves tasks with positive in-degree; they
+   are force-run so the resolver reports the cycle as a proper
+   diagnostic. *)
+let run_serial ~diagnostic_of_exn ~deadline ~memo (tasks : task list) : unit =
   let ready = Queue.create () in
   List.iter (fun t -> if t.unmet = 0 then Queue.add t ready) tasks;
   let rec drain () =
@@ -278,7 +291,7 @@ let run_serial ~diagnostic_of_exn ~deadline (tasks : task list) : unit =
       | None ->
           if not t.started then begin
             t.started <- true;
-            let o = run_task ~diagnostic_of_exn ~deadline t in
+            let o = run_task ~diagnostic_of_exn ~deadline ~memo t in
             List.iter (fun d -> Queue.add d ready) (finish t o)
           end
     done;
@@ -307,7 +320,7 @@ let run_serial ~diagnostic_of_exn ~deadline (tasks : task list) : unit =
      and the supervisor marks whatever never ran as [Failed] so the
      caller reports real errors instead of silence.
    Returns the number of worker deaths observed at join. *)
-let run_parallel ~diagnostic_of_exn ~deadline ~(jobs : int) (tasks : task list) : int =
+let run_parallel ~diagnostic_of_exn ~deadline ~memo ~(jobs : int) (tasks : task list) : int =
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let ready : task Queue.t = Queue.create () in
@@ -382,7 +395,7 @@ let run_parallel ~diagnostic_of_exn ~deadline ~(jobs : int) (tasks : task list) 
               incr running;
               Mutex.unlock mu;
               let o =
-                match run_task ~diagnostic_of_exn ~deadline t with
+                match run_task ~diagnostic_of_exn ~deadline ~memo t with
                 | o -> o
                 | exception e ->
                     (* a worker dying mid-task ([run_task] contains task
@@ -477,11 +490,13 @@ let build ?(diagnostic_of_exn = fun _ -> None) ?(task_timeout = 300.0) ~(jobs : 
   let worker_deaths =
     Trace.span "build-compile" @@ fun () ->
     Metrics.time "phase.build" @@ fun () ->
+    (* one check memo per build, shared by its workers and dropped with it *)
+    let memo = Resolver.build_memo () in
     if jobs = 1 then begin
-      run_serial ~diagnostic_of_exn ~deadline tasks;
+      run_serial ~diagnostic_of_exn ~deadline ~memo tasks;
       0
     end
-    else run_parallel ~diagnostic_of_exn ~deadline ~jobs tasks
+    else run_parallel ~diagnostic_of_exn ~deadline ~memo ~jobs tasks
   in
   let tasks_run = Atomic.get Parallel.tasks - tasks0 in
   let lock_waits = Atomic.get Parallel.lock_waits - waits0 in

@@ -52,6 +52,23 @@ let with_source_dir (path : string) (f : unit -> 'a) : 'a =
   in
   Resolver.with_dir (Filename.dirname abs) f
 
+(** The compile summary — [modules], [hits], [compiles], [stale],
+    [misses] — from the counters [get] reads: a module is a hit when the
+    store found its artifact up to date ([cache.hits]) and a compile when
+    it was compiled from source ([module.compiles]), so [modules] counts
+    each module once whether it was acquired serially or by a [-j N]
+    build.  The CLI's [compiled FILE: ...] line and the compile server's
+    [summary] object both print this. *)
+let summary (get : string -> int) : (string * int) list =
+  let hits = get "cache.hits" and compiles = get "module.compiles" in
+  [
+    ("modules", hits + compiles);
+    ("hits", hits);
+    ("compiles", compiles);
+    ("stale", get "cache.stale");
+    ("misses", get "cache.misses");
+  ]
+
 (** Test/bench hook: forget session state so the next [compile_file]
     exercises the artifact store as a fresh process would. *)
 let reset_session () = Resolver.reset_session ()

@@ -61,7 +61,7 @@ let load (a : Artifact.t) : Modsys.t =
   (* the [loader.replay] fault site: an injected error here is caught by
      the resolver's load wrapper and degrades to a recompile *)
   Liblang_fault.Fault.check "loader.replay";
-  let name = a.Artifact.mod_name and lang = a.Artifact.lang in
+  let name = a.Artifact.header.mod_name and lang = a.Artifact.header.lang in
   Modsys.check_cycle lang;
   if not (Modsys.is_declared lang) then err "#lang %s: unknown language" lang;
   Expander.reset_limits ();
@@ -128,7 +128,7 @@ let load (a : Artifact.t) : Modsys.t =
           | Some b -> Binding.add (Stx.id ~scopes n) b
           | None ->
               err "artifact: link target %s in module %s no longer exists" n owner)
-        a.Artifact.links;
+        a.Artifact.header.links;
       let m =
         {
           Modsys.mod_name = name;

@@ -13,10 +13,11 @@
     same "cyclic require" diagnostic (with the full path chain) as
     registry-module cycles.
 
-    With a {!Store} active, each file consults its artifact first:
-    requires recorded in the artifact are resolved (recursively) {e before}
-    the artifact is trusted, and their current artifact digests must match
-    the recorded ones — that is the transitive-invalidation check.  Any
+    With a {!Store} active, each file consults its artifact first.
+    Whether an artifact is up to date has one definition, {!check_key}:
+    it reads artifact headers only and follows the recorded requires'
+    digests recursively — the transitive-invalidation check.  Loading
+    ({!try_artifact}) is that check followed by {!Loader.load}; any
     unusable artifact degrades to a compile from source, after which a
     fresh artifact is written. *)
 
@@ -161,61 +162,186 @@ let compile_from_source ~key ~source : Modsys.t =
     ~finally:(fun () -> Hashtbl.remove cacheable key)
     (fun () -> Modsys.declare ~name:key source)
 
-(** Resolve, validate (recursively) and load [key]'s artifact; [None]
-    (with the cache counters bumped) when the file must be compiled from
-    source instead. *)
-let rec try_artifact (store : Store.t) ~key ~source_digest : Modsys.t option =
-  match Store.read store ~key with
-  | Error Artifact.Missing ->
-      Store.count_miss ();
-      None
-  | Error reason ->
-      Store.forget_digest store key;
-      Store.count_stale key reason;
-      None
-  | Ok (a, _digest) ->
-      let stale reason =
-        Store.forget_digest store key;
-        Store.count_stale key reason;
-        None
+(* -- the up-to-date check -------------------------------------------------------- *)
+
+(* Check results, shared by everyone consulting the store in one scope: the
+   workers of one [Build.build], or one top-level acquisition on a domain.
+   [own] is what reading an artifact's header found — its identity digest
+   and recorded requires, or why it is unusable — so each artifact is read
+   (and counted towards quarantine) at most once per scope.  [valid]
+   caches transitive verdicts over [own]; it is emptied (and [gen] bumped,
+   so an in-flight check does not refill it with old results) whenever an
+   [own] entry is dropped because its module was rebuilt. *)
+type memo = {
+  mu : Mutex.t;
+  own : (string, (string * Artifact.require_ref list, Artifact.invalid) result) Hashtbl.t;
+  valid : (string, (string, Artifact.invalid) result) Hashtbl.t;
+  mutable gen : int;
+  in_build : bool;  (** a build counts hits per task, not per replay *)
+}
+
+let new_memo ~in_build =
+  { mu = Mutex.create (); own = Hashtbl.create 64; valid = Hashtbl.create 64; gen = 0; in_build }
+
+let memo_key : memo option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let with_memo (m : memo) (f : unit -> 'a) : 'a =
+  let saved = Domain.DLS.get memo_key in
+  Domain.DLS.set memo_key (Some m);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set memo_key saved) f
+
+(** A fresh check memo for one [Build.build]: its workers share it, and it
+    dies with the build. *)
+let build_memo () = new_memo ~in_build:true
+
+(* The memo in scope, or a fresh one for the extent of [f]. *)
+let in_memo (f : memo -> 'a) : 'a =
+  match Domain.DLS.get memo_key with
+  | Some m -> f m
+  | None ->
+      let m = new_memo ~in_build:false in
+      with_memo m (fun () -> f m)
+
+let[@inline] memo_locked (m : memo) f = Liblang_parallel.Parallel.with_gate m.mu f
+
+(* [key]'s artifact was rewritten (or is about to be): forget what was read
+   of it, and every transitive verdict. *)
+let memo_drop (m : memo) (key : string) =
+  memo_locked m (fun () ->
+      Hashtbl.remove m.own key;
+      Hashtbl.reset m.valid;
+      m.gen <- m.gen + 1)
+
+(* The artifact's own check: integrity and format version (the store's
+   [read] of it), source digest and builtin requires.  File requires are
+   returned with their recorded digests for the caller to compare. *)
+let own_check (m : memo) ~(read : unit -> (Artifact.header * string, Artifact.invalid) result)
+    ~(source_digest : unit -> string option) key =
+  match memo_locked m (fun () -> Hashtbl.find_opt m.own key) with
+  | Some v -> v
+  | None ->
+      let v =
+        match read () with
+        | Error r -> Error r
+        | Ok (h, digest) -> (
+            let builtin_ok = function
+              | Artifact.Builtin n -> Modsys.is_declared n && (Modsys.find n).Modsys.builtin
+              | Artifact.File _ -> true
+            in
+            match source_digest () with
+            | Some d when String.equal d h.Artifact.source_digest -> (
+                match List.find_opt (fun r -> not (builtin_ok r)) h.Artifact.requires with
+                | Some (Artifact.Builtin n | Artifact.File (n, _)) ->
+                    Error (Artifact.Stale_require n)
+                | None -> Ok (digest, h.Artifact.requires))
+            | _ -> Error Artifact.Stale_source)
       in
-      if not (String.equal a.Artifact.source_digest source_digest) then
-        stale Artifact.Stale_source
-      else begin
-        (* transitive invalidation: every required file module must
-           re-resolve to an artifact whose digest matches the recorded
-           one; required builtins must (still) exist *)
-        let check_require = function
-          | Artifact.Builtin n ->
-              if Modsys.is_declared n && (Modsys.find n).Modsys.builtin then None
-              else Some (Artifact.Stale_require n)
-          | Artifact.File (rkey, rdigest) -> (
-              match require_key rkey with
-              | _m -> (
-                  match Store.current_digest store rkey with
-                  | Some d when String.equal d rdigest -> None
-                  | _ -> Some (Artifact.Stale_require rkey))
-              | exception Modsys.Module_error _ ->
-                  (* e.g. a require recorded in a corrupt artifact that now
-                     cycles or points at a missing file: treat as stale and
-                     recompile this module from source, which will surface
-                     the real diagnostic (or succeed, if the artifact lied) *)
-                  Some (Artifact.Stale_require rkey))
-        in
-        match List.find_map check_require a.Artifact.requires with
-        | Some reason -> stale reason
-        | None -> (
-            (* the artifact is valid; if rebuilding a live module from it
-               still fails (e.g. a link target vanished because its module
-               was recompiled by a cache-less session), degrade to a
-               recompile — an unusable artifact is never an error *)
-            match Loader.load a with
-            | m ->
-                Store.count_hit ();
-                Some m
-            | exception e ->
-                stale (Artifact.Load_failed (Printexc.to_string e)))
-      end
+      memo_locked m (fun () -> Hashtbl.replace m.own key v);
+      v
+
+(* The transitive verdict: [key]'s own check, then each required file's
+   current artifact digest — itself checked, recursively — against the
+   recorded one.  [visiting] guards against cycles recorded by a lying
+   artifact. *)
+let rec check_in (m : memo) (store : Store.t) ~visiting key : (string, Artifact.invalid) result =
+  match memo_locked m (fun () -> Hashtbl.find_opt m.valid key) with
+  | Some v -> v
+  | None ->
+      let gen = memo_locked m (fun () -> m.gen) in
+      let source_digest () = Digest_util.of_file key in
+      let v =
+        match own_check m ~read:(fun () -> Store.read_header store ~key) ~source_digest key with
+        | Error r -> Error r
+        | Ok (digest, requires) -> (
+            let visiting = key :: visiting in
+            let stale_file = function
+              | Artifact.Builtin _ -> None
+              | Artifact.File (rkey, rdigest) -> (
+                  if List.mem rkey visiting then Some (Artifact.Stale_require rkey)
+                  else
+                    match check_in m store ~visiting rkey with
+                    | Ok d when String.equal d rdigest -> None
+                    | _ -> Some (Artifact.Stale_require rkey))
+            in
+            match List.find_map stale_file requires with
+            | Some r -> Error r
+            | None -> Ok digest)
+      in
+      memo_locked m (fun () -> if m.gen = gen then Hashtbl.replace m.valid key v);
+      v
+
+(** Is [key]'s artifact up to date?  [Ok digest] iff its integrity trailer
+    verifies, it has the current format version, it records [key]'s
+    current source digest, every builtin it requires still exists, and
+    every file it requires has a current artifact (checked the same way,
+    recursively) whose digest is the recorded one.  Reads artifact headers
+    only, through the store, and never replays anything.  Results are
+    memoized in the memo in scope (see {!build_memo}). *)
+let check_key (store : Store.t) (key : string) : (string, Artifact.invalid) result =
+  in_memo (fun m -> check_in m store ~visiting:[] key)
+
+(** Resolve, validate and load [key]'s artifact; [None] (with the cache
+    counters bumped) when the file must be compiled from source instead.
+    Validity is {!check_key}'s; the requires are acquired first — replay
+    needs them live, and acquiring them rebuilds any that are stale, so a
+    dependency whose artifact was merely damaged costs only its own
+    recompile, as with [raco make]. *)
+let rec try_artifact (m : memo) (store : Store.t) ~key ~source_digest : Modsys.t option =
+  let stale reason =
+    Store.forget_digest store key;
+    (match reason with
+    | Artifact.Missing -> Store.count_miss ()
+    | reason -> Store.count_stale key reason);
+    None
+  in
+  (* read the whole artifact when nothing has read its header yet: it is
+     about to be replayed *)
+  let whole = ref None in
+  let read () =
+    Result.map
+      (fun ((a : Artifact.t), d) ->
+        whole := Some (a, d);
+        (a.Artifact.header, d))
+      (Store.read store ~key)
+  in
+  match own_check m ~read ~source_digest:(fun () -> Some source_digest) key with
+  | Error reason -> stale reason
+  | Ok (_, requires) -> (
+      let acquire = function
+        | Artifact.Builtin _ -> None
+        | Artifact.File (rkey, _) -> (
+            (* e.g. a require recorded in a lying artifact that now cycles
+               or points at a missing file: treat as stale and recompile
+               this module from source, which will surface the real
+               diagnostic (or succeed, if the artifact lied) *)
+            match require_key rkey with
+            | _ -> None
+            | exception Modsys.Module_error _ -> Some (Artifact.Stale_require rkey))
+      in
+      match List.find_map acquire requires with
+      | Some reason -> stale reason
+      | None -> (
+          match check_in m store ~visiting:[] key with
+          | Error reason -> stale reason
+          | Ok digest -> (
+              let artifact = match !whole with Some w -> Ok w | None -> Store.read store ~key in
+              match artifact with
+              | Error reason -> stale reason
+              | Ok (_, d) when not (String.equal d digest) ->
+                  (* rewritten since the check: judge the new bytes afresh *)
+                  memo_drop m key;
+                  stale (Artifact.Load_failed "artifact changed while loading")
+              | Ok (a, _) -> (
+                  (* the artifact is valid; if rebuilding a live module
+                     from it still fails (e.g. a link target vanished
+                     because its module was recompiled by a cache-less
+                     session), degrade to a recompile — an unusable
+                     artifact is never an error *)
+                  match Loader.load a with
+                  | mod_ ->
+                      if not m.in_build then Store.count_hit ();
+                      Some mod_
+                  | exception e -> stale (Artifact.Load_failed (Printexc.to_string e))))))
 
 (** Acquire the file module for [key] (an absolute, normalized path):
     reuse it if already acquired and unchanged, else load it from a valid
@@ -269,10 +395,14 @@ and require_key ?(loc = Srcloc.none) (key : string) : Modsys.t =
                uncompiled module serialize here, so the loser re-reads the
                winner's fresh artifact (one write + one cache hit for the
                whole pool).  No-op outside parallel builds. *)
+            in_memo @@ fun memo ->
             Store.with_key_lock store key @@ fun () -> (
-            match try_artifact store ~key ~source_digest with
+            match try_artifact memo store ~key ~source_digest with
             | Some m -> m
-            | None -> compile_from_source ~key ~source)
+            | None ->
+                let m = compile_from_source ~key ~source in
+                memo_drop memo key;
+                m)
       in
       Hashtbl.replace loaded key (source_digest, m);
       m)

@@ -9,9 +9,10 @@
     digests up the whole require chain and invalidates exactly the
     dependents (docs/compilation.md has the invalidation table).
 
-    Observability: every consultation bumps one of [cache.hits],
+    Observability: the resolver and [Build] count each module
+    they consult the store for once, as one of [cache.hits],
     [cache.misses] (no artifact) or [cache.stale] (artifact unusable, with
-    the reason as a [-v] trace note), and reads/writes run inside
+    the reason as a [-v] trace note); reads/writes run inside
     [artifact-read]/[artifact-write] trace spans.  Any unusable artifact —
     corrupt, truncated, version-skewed, stale — degrades to a recompile;
     it is never an error. *)
@@ -194,13 +195,13 @@ let note_corrupt (s : t) ~(key : string) ~(path : string)
   end;
   reason
 
-(** Read and parse [key]'s artifact, verifying its integrity trailer
-    first (a torn or bit-flipped artifact is caught before — or instead
-    of — parsing).  On success also memoizes its identity digest.  Does
-    {e not} check freshness against the source or requires — that is the
-    resolver's job (it owns recursive require resolution).  Repeatedly
-    corrupt artifacts are quarantined (see {!note_corrupt}). *)
-let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) result =
+(* Read [key]'s artifact and parse it with [parse], verifying its
+   integrity trailer first (a torn or bit-flipped artifact is caught
+   before — or instead of — parsing).  On success also memoizes its
+   identity digest.  Repeatedly corrupt artifacts are quarantined (see
+   {!note_corrupt}). *)
+let read_with (s : t) ~(key : string) (parse : string -> ('a, Artifact.invalid) result) :
+    ('a * string, Artifact.invalid) result =
   Fault.check_deadline ();
   let path = artifact_path s key in
   if not (Sys.file_exists path) then Error Artifact.Missing
@@ -212,8 +213,8 @@ let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) resul
         match slurp path with
         | exception Sys_error m -> Error (Artifact.Unreadable m)
         | text -> (
-            let parse () =
-              match Artifact.of_string text with
+            let parsed () =
+              match parse text with
               | Error (Artifact.Corrupt _ as r) -> Error (note_corrupt s ~key ~path r)
               | Error reason -> Error reason
               | Ok a ->
@@ -224,14 +225,25 @@ let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) resul
                   Ok (a, digest)
             in
             match Artifact.verify_integrity text with
-            | Ok () -> parse ()
+            | Ok () -> parsed ()
             | Error integrity_reason -> (
                 (* distinguish old-format artifacts (which predate the
                    trailer) from damage: version skew must never surface
                    as corrupt, and must not feed quarantine *)
-                match Artifact.of_string text with
+                match Artifact.header_of_string text with
                 | Error (Artifact.Version_skew _ as r) -> Error r
                 | _ -> Error (note_corrupt s ~key ~path integrity_reason))))
+
+(** Read [key]'s artifact header (the body is not parsed) and its
+    identity digest — what the up-to-date check needs.  Does {e not}
+    check freshness against the source or requires: that is the
+    resolver's job ({!Resolver.check_key}). *)
+let read_header (s : t) ~(key : string) : (Artifact.header * string, Artifact.invalid) result =
+  read_with s ~key Artifact.header_of_string
+
+(** Read and parse [key]'s whole artifact, for replay. *)
+let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) result =
+  read_with s ~key Artifact.of_string
 
 (* -- writing ----------------------------------------------------------------- *)
 
@@ -247,9 +259,10 @@ let read (s : t) ~(key : string) : (Artifact.t * string, Artifact.invalid) resul
     strands the temp file exactly as a kill would; the next
     {!create}'s sweep collects it). *)
 let write (s : t) (a : Artifact.t) : unit =
-  Trace.span "artifact-write" ~detail:a.Artifact.mod_name @@ fun () ->
+  let key = a.Artifact.header.mod_name in
+  Trace.span "artifact-write" ~detail:key @@ fun () ->
   Fault.check_deadline ();
-  let path = artifact_path s a.Artifact.mod_name in
+  let path = artifact_path s key in
   (* the temp name carries pid {e and} domain id: two domains of one
      process racing on a key must not share a temp file *)
   let tmp =
@@ -272,23 +285,23 @@ let write (s : t) (a : Artifact.t) : unit =
   with
   | None, full ->
       locked s (fun () ->
-          Hashtbl.replace s.digests a.Artifact.mod_name (Digest_util.of_string full);
-          Hashtbl.remove s.corrupt_reads a.Artifact.mod_name);
+          Hashtbl.replace s.digests key (Digest_util.of_string full);
+          Hashtbl.remove s.corrupt_reads key);
       Metrics.count "cache.writes"
   | Some _, _ ->
       (* a torn artifact landed at the final path: nobody may trust a
          memoized digest for it, and it must not count as a clean write *)
-      forget_digest s a.Artifact.mod_name;
-      Trace.event "cache-write-torn" [ ("module", a.Artifact.mod_name) ]
+      forget_digest s key;
+      Trace.event "cache-write-torn" [ ("module", key) ]
   | exception Sys_error m ->
       (try Sys.remove tmp with Sys_error _ -> ());
-      Trace.event "cache-write-failed" [ ("module", a.Artifact.mod_name); ("error", m) ]
+      Trace.event "cache-write-failed" [ ("module", key); ("error", m) ]
   | exception Fault.Injected (site, _) ->
       (* an injected failure at/before the rename: leave the temp file
          stranded, exactly as a crash would — the next store open sweeps
          it, and this session proceeds uncached for this module *)
       Trace.event "cache-write-failed"
-        [ ("module", a.Artifact.mod_name); ("error", "injected fault at " ^ site) ]
+        [ ("module", key); ("error", "injected fault at " ^ site) ]
 
 (* -- counters ----------------------------------------------------------------- *)
 

@@ -138,19 +138,10 @@ let daemon_count (srv : t) (name : string) : unit =
 
 let num n = Json.Num (float_of_int n)
 
-(* The per-request compile summary, computed exactly as the CLI's
-   [compiled ...] line: modules touched = compiles + session hits. *)
+(* The per-request compile summary, the same as the CLI's [compiled ...]
+   line ({!Compiled.summary}). *)
 let summary_field (c : Metrics.t) : string * Json.t =
-  let g = Metrics.get c in
-  ( "summary",
-    Json.Obj
-      [
-        ("modules", num (g "module.compiles" + g "module.cache_hits"));
-        ("hits", num (g "module.cache_hits"));
-        ("compiles", num (g "module.compiles"));
-        ("stale", num (g "cache.stale"));
-        ("misses", num (g "cache.misses"));
-      ] )
+  ("summary", Json.Obj (List.map (fun (k, n) -> (k, num n)) (Compiled.summary (Metrics.get c))))
 
 (* Failure fields shared by every op: a one-line [error], the structured
    [diagnostics] array, and the CLI's full [rendered] report (no color —

@@ -464,6 +464,202 @@ let concurrent_store_stress () =
   check_i "warm rerun: zero compiles" 0 (compiles c);
   check_i "warm rerun: all hits" 6 (hits c)
 
+(* -- the up-to-date check: warm builds replay nothing ------------------------------ *)
+
+(** [Build.build] over [root] as a fresh process would, with its counters
+    in a fresh collector. *)
+let build_measured ~jobs ~cache root : Build.result * Metrics.t =
+  let c = Metrics.create () in
+  let r =
+    Observe.with_ctx { Observe.metrics = Some c; trace = None } (fun () ->
+        build_into ~jobs ~cache root)
+  in
+  (r, c)
+
+(** [(file, inode)] for every artifact under [dir]: artifacts are written
+    to a temp file and renamed, so a rewritten artifact has a new inode. *)
+let dir_inodes dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".lart")
+  |> List.sort compare
+  |> List.map (fun f -> (f, (Unix.stat (Filename.concat dir f)).Unix.st_ino))
+
+let artifact_name path = Filename.basename (artifact_file ~cache:"" (Compiled.Resolver.module_key path))
+
+(** The compile summary of [Pipeline.compile_file] (the CLI's [compile]
+    line) as a fresh process would print it. *)
+let summary_of ~jobs ~cache path =
+  Compiled.reset_session ();
+  let c = Metrics.create () in
+  (match
+     Pipeline.compile_file ~cache_dir:cache ~jobs
+       ~observe:{ Observe.metrics = Some c; trace = None }
+       path
+   with
+  | Ok () -> ()
+  | Error ds -> Alcotest.failf "compile -j %d failed: %s" jobs (Pipeline.render_errors ~color:false ds));
+  Compiled.summary (Metrics.get c)
+
+(** The summary line counts each module once, whatever the job count:
+    [-j 1] (the serial resolver) and [-j 3] ([Build.build]) print the
+    same line, cold and warm. *)
+let summary_counts_each_module_once () =
+  let dir = fresh_dir () in
+  let root, _ = gen ~dir ~shape:Genproj.Diamond ~n:6 in
+  let c1 = Filename.concat dir "cache-j1" and c3 = Filename.concat dir "cache-j3" in
+  let show l = String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) l) in
+  let cold1 = summary_of ~jobs:1 ~cache:c1 root and cold3 = summary_of ~jobs:3 ~cache:c3 root in
+  check_s "cold: -j1 line = -j3 line" (show cold1) (show cold3);
+  check_s "cold: every module compiled once" "modules=6 hits=0 compiles=6 stale=0 misses=6"
+    (show cold3);
+  let warm1 = summary_of ~jobs:1 ~cache:c1 root and warm3 = summary_of ~jobs:3 ~cache:c3 root in
+  check_s "warm: -j1 line = -j3 line" (show warm1) (show warm3);
+  check_s "warm: every module a hit once" "modules=6 hits=6 compiles=0 stale=0 misses=0"
+    (show warm3)
+
+(** A warm [-j 2] build decides "up to date" from the artifact digest
+    chain: it replays no artifact and rewrites none.  After an edit, only
+    the edited module's cone is written, and the modules outside it are
+    loaded only to compile a recompiled dependent. *)
+let warm_parallel_build_replays_nothing () =
+  let dir = fresh_dir () in
+  let root, expected = gen ~dir ~shape:Genproj.Diamond ~n:6 in
+  let cache = Filename.concat dir "cache" in
+  check_b "cold build ok" true (Build.ok (fst (build_measured ~jobs:2 ~cache root)));
+  let before = dir_inodes cache in
+  let r, c = build_measured ~jobs:2 ~cache root in
+  check_b "warm build ok" true (Build.ok r);
+  check_i "warm: nothing compiled" 0 (compiles c);
+  check_i "warm: nothing replayed" 0 (hits c);
+  check_b "warm: no load phase" true (Metrics.get_ms c "phase.load" = 0.0);
+  check_i "warm: every module found up to date" 6 (Metrics.get c "cache.hits");
+  check_b "warm: no artifact rewritten" true (before = dir_inodes cache);
+  let out, _ = run_measured ~cache root in
+  check_s "warm: the closed form" (string_of_int expected) (String.trim out);
+  (* edit a mid module: its cone is itself and main *)
+  let m3 = Filename.concat dir "m3.scm" in
+  write_file m3 (read_file m3 ^ ";; edited\n");
+  let before = dir_inodes cache in
+  let r, c = build_measured ~jobs:2 ~cache root in
+  check_b "edit build ok" true (Build.ok r);
+  let rewritten =
+    List.filter_map
+      (fun (f, ino) -> if List.assoc_opt f before = Some ino then None else Some f)
+      (dir_inodes cache)
+  in
+  check_b "edit: exactly the cone is written" true
+    (List.sort compare rewritten = List.sort compare [ artifact_name m3; artifact_name root ]);
+  check_i "edit: the cone compiles" 2 (compiles c);
+  check_i "edit: the rest is up to date" 4 (Metrics.get c "cache.hits");
+  (* replays happen only inside the cone's compiles: m3 needs m5, main
+     needs m1..m4 and their m5, each at most once per recompiled module —
+     not one replay per up-to-date task *)
+  check_b "edit: replays bounded by the cone's requires" true (hits c <= 1 + 5);
+  let out, _ = run_measured ~cache root in
+  check_s "edit: the closed form" (string_of_int expected) (String.trim out)
+
+(** A check that rejects an artifact and the resolver's re-read of it in
+    the fallback count as one consultation: one [cache.stale], and one
+    corrupt read towards quarantine — so one warm build over one damaged
+    artifact never quarantines it. *)
+let fallback_counts_once () =
+  let dir = fresh_dir () in
+  let root, expected = gen ~dir ~shape:Genproj.Diamond ~n:6 in
+  let cache = Filename.concat dir "cache" in
+  ignore (build_measured ~jobs:2 ~cache root);
+  let art = artifact_file ~cache (Compiled.Resolver.module_key (Filename.concat dir "m3.scm")) in
+  let clean = read_file art in
+  let damaged = replace_first clean "tower" "towex" in
+  check_b "body damaged" true (clean <> damaged);
+  write_file art damaged;
+  let r, c = build_measured ~jobs:2 ~cache root in
+  check_b "build ok" true (Build.ok r);
+  check_i "the damaged module is recompiled" 1 (compiles c);
+  check_i "stale counted once" 1 (Metrics.get c "cache.stale");
+  check_i "no miss" 0 (Metrics.get c "cache.misses");
+  check_i "not quarantined" 0 (Metrics.get c "cache.quarantined");
+  check_b "no .bad file" false (Sys.file_exists (art ^ ".bad"));
+  check_s "rewritten byte-identical" clean (read_file art);
+  check_i "its dependents stay up to date" 5 (Metrics.get c "cache.hits");
+  let out, _ = run_measured ~cache root in
+  check_s "the closed form" (string_of_int expected) (String.trim out)
+
+(** Check/replay parity over the invalidation rows: for each doctored
+    artifact, [check_key] rejects it for the row's reason, a build
+    recompiles exactly that module, and the rewritten artifact is
+    byte-identical to a clean build's. *)
+let check_parity () =
+  let module A = Compiled.Artifact in
+  Core.init ();
+  let dir = fresh_dir () in
+  let lib = Filename.concat dir "lib.scm" and main = Filename.concat dir "main.scm" in
+  write_file lib "#lang racket\n(provide base)\n(define base 40)\n";
+  write_file main "#lang racket\n(require \"lib.scm\")\n(display (+ base 2))\n";
+  let lib_key = Compiled.Resolver.module_key lib in
+  let doctor text ~needle ~repl =
+    let t = replace_first (strip_trailer text) needle repl in
+    check_b ("artifact contains " ^ needle) true (t <> strip_trailer text);
+    with_trailer t
+  in
+  (* (row, doctor main's source/artifact, expected reason) *)
+  let rows =
+    [
+      ("missing", (fun ~art -> Sys.remove art), (function A.Missing -> true | _ -> false));
+      ( "integrity damage",
+        (fun ~art ->
+          let text = read_file art in
+          let flipped = replace_first text "'2" "'3" in
+          check_b "body contains the literal" true (text <> flipped);
+          write_file art flipped),
+        function A.Corrupt _ -> true | _ -> false );
+      ( "v3 version skew",
+        (fun ~art ->
+          write_file art
+            (with_trailer
+               (replace_first (strip_trailer (read_file art))
+                  (Printf.sprintf "(version %d)" A.format_version)
+                  "(version 3)"
+               ^ "(bytecode (unboxing #t))\n"))),
+        function A.Version_skew 3 -> true | _ -> false );
+      ( "stale source",
+        (fun ~art:_ -> write_file main (read_file main ^ ";; edited\n")),
+        function A.Stale_source -> true | _ -> false );
+      ( "stale require digest",
+        (fun ~art ->
+          let text = read_file art in
+          let d = Option.get (Compiled.Digest_util.of_file (artifact_file ~cache:(Filename.dirname art) lib_key)) in
+          write_file art (doctor text ~needle:d ~repl:(String.make (String.length d) '0'))),
+        function A.Stale_require k -> k = lib_key | _ -> false );
+      ( "vanished builtin",
+        (fun ~art ->
+          write_file art
+            (doctor (read_file art) ~needle:"(builtin \"racket\")"
+               ~repl:"(builtin \"no-such-language\")")),
+        function A.Stale_require "no-such-language" -> true | _ -> false );
+    ]
+  in
+  List.iteri
+    (fun i (row, mutate, expected) ->
+      let cache = Filename.concat dir (Printf.sprintf "cache%d" i) in
+      ignore (build_measured ~jobs:2 ~cache main);
+      let art = artifact_file ~cache (Compiled.Resolver.module_key main) in
+      mutate ~art;
+      Compiled.reset_session ();
+      (match Compiled.Resolver.check_key (Compiled.Store.create ~dir:cache ()) (Compiled.Resolver.module_key main) with
+      | Ok _ -> Alcotest.failf "%s: check_key accepted the doctored artifact" row
+      | Error r ->
+          if not (expected r) then
+            Alcotest.failf "%s: check_key rejected it for the wrong reason: %s" row
+              (A.invalid_to_string r));
+      let r, c = build_measured ~jobs:2 ~cache main in
+      check_b (row ^ ": build ok") true (Build.ok r);
+      check_i (row ^ ": recompiled") 1 (compiles c);
+      let clean = Filename.concat dir (Printf.sprintf "clean%d" i) in
+      ignore (build_measured ~jobs:1 ~cache:clean main);
+      check_b (row ^ ": rewritten byte-identical to a clean build") true
+        (dir_digests cache = dir_digests clean))
+    rows
+
 (* -- chaos: deterministic fault injection (docs/robustness.md) ------------------ *)
 
 module Fault = Core.Fault
@@ -763,6 +959,10 @@ let suite =
     parallel_determinism Genproj.Diamond;
     parallel_determinism Genproj.Chain;
     t "concurrent store: K domains, one cache" concurrent_store_stress;
+    t "summary: each module counted once, -j1 = -j3" summary_counts_each_module_once;
+    t "warm -j2 build replays nothing" warm_parallel_build_replays_nothing;
+    t "fallback: one stale, one corrupt read" fallback_counts_once;
+    t "check/replay parity over the invalidation rows" check_parity;
     t "fault plan: parse + reject" plan_parse;
     t "fault plan: decisions are deterministic" deterministic_decisions;
     t "fault hooks: inert when off" hooks_inert_when_off;

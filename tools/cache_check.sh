@@ -9,10 +9,12 @@
 #   pass 2 (warm): every file that compiled must now be satisfied
 #     entirely from the store (compiles=0, misses=0 on the summary line);
 #   pass 3 (-j2): the same files again, fresh store, a two-domain pool:
-#     the parallel build must succeed, replay warm, and write artifacts
-#     byte-identical to the serial store's (docs/compilation.md,
-#     "Parallel builds" -- determinism is a hard invariant, not a
-#     best-effort);
+#     the parallel build must succeed, and write artifacts byte-identical
+#     to the serial store's (docs/compilation.md, "Parallel builds" --
+#     determinism is a hard invariant, not a best-effort); warm, its
+#     summary line must equal the serial warm line (each module counted
+#     once: modules=N hits=N compiles=0) and its --profile must show no
+#     load phase (the up-to-date check replays nothing);
 #   runs: every example must print byte-identical output with and
 #     without the cache, with matching exit codes;
 #   engine vm: every example again under run --engine vm, cached and
@@ -77,6 +79,7 @@ if [ -f "$WORK/ok" ]; then
       *"misses=0"*) : ;;
       *) bad "$f: warm pass missed the cache: $out" ;;
     esac
+    printf '%s\n' "$out" >>"$WORK/warm-j1"
   done <"$WORK/ok"
 fi
 
@@ -91,18 +94,21 @@ if [ -f "$WORK/ok" ]; then
       bad "$f: -j2 cold compile exited $code"
     fi
   done <"$WORK/ok"
-  # warm with the pool: still hit-only
+  # warm with the pool: the serial warm line, and no artifact replayed
   while IFS= read -r f; do
-    out=$($RUN "$LIBLANG" compile -j 2 --cache-dir "$CACHE2" "$f" 2>/dev/null)
+    out=$($RUN "$LIBLANG" compile -j 2 --profile --cache-dir "$CACHE2" "$f" 2>"$WORK/profile")
     code=$?
     if [ "$code" -ne 0 ]; then
       bad "$f: -j2 warm compile exited $code"
       continue
     fi
-    case $out in
-      *"compiles=0 "*) : ;;
-      *) bad "$f: -j2 warm pass recompiled instead of loading artifacts: $out" ;;
-    esac
+    serial=$(grep -F "compiled $f: " "$WORK/warm-j1")
+    if [ "$out" != "$serial" ]; then
+      bad "$f: -j2 warm line differs from the serial one: '$out' vs '$serial'"
+    fi
+    if grep -q '^  load ' "$WORK/profile"; then
+      bad "$f: -j2 warm build replayed artifacts (a load phase row in --profile)"
+    fi
   done <"$WORK/ok"
   # determinism: every artifact the -j2 store wrote must be byte-identical
   # to the serial store's copy (same keys: same files, absolute paths)
@@ -150,6 +156,6 @@ done
 if [ "$fail" -eq 0 ]; then
   n=0
   [ -f "$WORK/ok" ] && n=$(wc -l <"$WORK/ok")
-  echo "cache_check OK: $n modules warm-loaded (serial and -j2, byte-identical stores); cached, uncached, and --engine vm runs agree"
+  echo "cache_check OK: $n modules warm (serial loads, -j2 checks with identical summary lines, byte-identical stores); cached, uncached, and --engine vm runs agree"
 fi
 exit "$fail"
